@@ -76,6 +76,7 @@ import (
 	"repro/internal/fleet/engine"
 	"repro/internal/fleet/shardrpc"
 	"repro/internal/flight"
+	"repro/internal/hwdb"
 	"repro/internal/telemetry"
 )
 
@@ -293,7 +294,7 @@ func main() {
 	if !*quiet {
 		runner.Logf = log.Printf
 	}
-	var statsSrv *telemetry.Server
+	var statsSrv *hwdb.Server
 	var rec *flight.Recorder
 	runner.OnFleet = func(f *fleet.Fleet) {
 		// OnFleet runs after the homes exist but before the first Sync,
@@ -310,11 +311,11 @@ func main() {
 			}
 		}
 		if *stats != "" {
-			statsSrv = telemetry.NewServer(f.Telemetry())
-			statsSrv.SetTraceSource(f.TraceStats)
+			var replay telemetry.ReplayFunc
 			if rec != nil {
-				statsSrv.SetReplaySource(rec.Replay)
+				replay = rec.Replay
 			}
+			statsSrv = telemetry.NewServer(f.Telemetry(), f.TraceStats, replay)
 			if err := statsSrv.Serve(*stats); err != nil {
 				log.Fatal(err)
 			}

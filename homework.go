@@ -212,14 +212,15 @@ type FleetRate = telemetry.Rate
 
 // FleetTelemetryServer streams fleet-wide aggregates over UDP: CQL EXEC
 // against the FleetStats view, a STATS snapshot verb, and FLEET
-// subscriptions that push per-home deltas only when counters move. It
-// speaks the HWDB/1 framing, so DialDB clients drive it unchanged.
-type FleetTelemetryServer = telemetry.Server
+// subscriptions that push per-home deltas only when counters move. It is
+// the hwdb server with the fleet verb set, so DialDB clients drive it
+// unchanged.
+type FleetTelemetryServer = hwdb.Server
 
 // ServeFleetTelemetry starts a streaming telemetry endpoint for a fleet
 // on addr (e.g. "127.0.0.1:0"); close it with its Close method.
 func ServeFleetTelemetry(f *Fleet, addr string) (*FleetTelemetryServer, error) {
-	srv := telemetry.NewServer(f.Telemetry())
+	srv := telemetry.NewServer(f.Telemetry(), nil, nil)
 	if err := srv.Serve(addr); err != nil {
 		return nil, err
 	}

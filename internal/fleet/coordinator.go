@@ -542,7 +542,7 @@ func (c *Coordinator) Totals() FleetTotals {
 
 // Telemetry exposes the federated global folder: windowed per-home and
 // per-device rates, per-home cumulative totals, and the view database.
-// The telemetry.Server streaming endpoint is built over it and serves
+// The streaming endpoint (telemetry.NewServer) is built over it and serves
 // one coherent fleet regardless of shard count.
 func (c *Coordinator) Telemetry() *telemetry.Folder { return c.fed.Folder() }
 

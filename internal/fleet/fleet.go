@@ -17,7 +17,7 @@
 //     internal/health remediation and cmd/hwfleetd use.
 //
 // On top, a telemetry.Federation folds the N per-shard hubs into one
-// global Folder, so telemetry.Server, hwctl and the soak gate read one
+// global Folder, so the fleet endpoint, hwctl and the soak gate read one
 // coherent fleet — same FleetStats view, same exact delivered+lost
 // accounting invariant — regardless of shard count. Fleet homes default
 // to the in-process control transport (core.TransportInProcess): with

@@ -390,6 +390,7 @@ func TestParseErrors(t *testing.T) {
 		"INSERT INTO Flows (1,2)",
 		"SELECT * FROM Flows LIMIT -1",
 		"SELECT 'unterminated FROM Flows",
+		"CREATE TABLE Big (n integer) RING 1048577", // over maxRingSize
 	}
 	for _, q := range bad {
 		if _, err := Parse(q); err == nil {
@@ -561,6 +562,15 @@ func TestRPCSubscribePush(t *testing.T) {
 	}
 	if srv.Subscriptions() != 0 {
 		t.Errorf("subscriptions after unsubscribe = %d", srv.Subscriptions())
+	}
+}
+
+// TestServerCloseWithoutServe: Close on a never-served server is a safe
+// no-op (the idiomatic defer-before-error-check pattern must not panic).
+func TestServerCloseWithoutServe(t *testing.T) {
+	srv := NewServer(NewHomework(clock.Real{}, 16))
+	if err := srv.Close(); err != nil {
+		t.Fatalf("close without serve: %v", err)
 	}
 }
 

@@ -197,6 +197,10 @@ type CreateStmt struct {
 	RingSize int
 }
 
+// maxRingSize bounds a CREATE TABLE's RING, which is allocated up front:
+// one statement must not be able to exhaust the server's memory.
+const maxRingSize = 1 << 20
+
 // SubscribeStmt is a parsed SUBSCRIBE <select> EVERY <duration>.
 type SubscribeStmt struct {
 	Query *SelectStmt
@@ -724,7 +728,7 @@ func (p *parser) parseCreate() (*CreateStmt, error) {
 			return nil, err
 		}
 		size, err := strconv.Atoi(n.text)
-		if err != nil || size <= 0 {
+		if err != nil || size <= 0 || size > maxRingSize {
 			return nil, fmt.Errorf("hwdb: bad RING size %q", n.text)
 		}
 		st.RingSize = size

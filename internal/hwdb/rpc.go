@@ -2,13 +2,15 @@ package hwdb
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // The UDP RPC protocol. Requests and responses are single datagrams:
@@ -16,46 +18,77 @@ import (
 //	request:  "HWDB/1 <seq> <VERB>\n<body>"
 //	response: "HWDB/1 <seq> OK [arg]\n<body>"  or  "HWDB/1 <seq> ERR <msg>\n"
 //
-// Verbs: EXEC (body = one CQL statement; SELECT returns a tabular body),
-// SUBSCRIBE (body = SUBSCRIBE <select> EVERY <n> <unit>; OK arg is the
-// subscription id), UNSUBSCRIBE (body = id) and PING.
+// One Server speaks it for every verb set. PING, SUBSCRIBE (OK arg is the
+// subscription id) and UNSUBSCRIBE (body = id) are built in; every other
+// verb is a registered Verb whose result becomes the tabular body.
+// NewServer registers the per-home set: EXEC (body = one CQL statement;
+// SELECT returns a tabular body) and CQL subscriptions (body = SUBSCRIBE
+// <select> EVERY <n> <unit>). The fleet endpoint (telemetry.NewServer)
+// registers EXEC over the read-only FleetStats view, STATS, TRACE and
+// REPLAY, and FLEET EVERY <n> <unit> delta subscriptions.
 //
-// Subscription pushes are unsolicited datagrams to the subscriber's address:
+// A subscription is a Producer that one run loop asks for a push body
+// every period; each body it returns goes to the subscriber's address as
+// an unsolicited datagram, and a period where it returns ok=false sends
+// nothing:
 //
 //	"HWDB/1 0 PUSH <id>\n<tabular body>"
 //
-// Responses are capped at MaxDatagram; oversize result sets are truncated
-// and flagged with a "TRUNCATED" trailer line so clients can tighten their
-// window or add LIMIT.
+// Every datagram fits in MaxDatagram: an ERR status echoing request bytes
+// is cut to maxStatus, and an oversize body is truncated at a line
+// boundary and flagged with a "TRUNCATED" trailer line so clients can
+// tighten their window or add LIMIT.
 const (
 	rpcMagic = "HWDB/1"
 	// MaxDatagram is the largest datagram the server will send.
 	MaxDatagram = 60000
+	// maxStatus caps a reply's status text, so the header always leaves
+	// room for the truncation trailer.
+	maxStatus = 1024
+	truncated = "TRUNCATED\n"
 )
 
-// Server serves the database over UDP.
+// Verb answers one request body. A nil result replies "OK 0" with no
+// body; otherwise the reply is "OK <rows>" and the result's tabular text.
+type Verb func(body string) (*Result, error)
+
+// Producer returns a subscription's next push body, or ok=false to send
+// nothing this period. Only the subscription's run loop calls it, so it
+// may keep state without locking. budget is the longest body that fits
+// the push datagram; a longer one is truncated.
+type Producer func(budget int) (body string, ok bool)
+
+// SubscribeFunc parses a SUBSCRIBE request body into the push period and
+// the subscription's producer.
+type SubscribeFunc func(body string) (every time.Duration, next Producer, err error)
+
+// Server serves one verb set over UDP.
 type Server struct {
-	db   *DB
-	conn *net.UDPConn
+	clk       clock.Clock
+	verbs     map[string]Verb
+	subscribe SubscribeFunc
+	conn      *net.UDPConn
 
 	mu     sync.Mutex
-	subs   map[uint64]*subscription
+	subs   map[uint64]chan struct{} // id -> cancel
 	nextID uint64
-	closed atomic.Bool
+	closed bool
 	wg     sync.WaitGroup
 }
 
-type subscription struct {
-	id     uint64
-	addr   *net.UDPAddr
-	query  *SelectStmt
-	every  time.Duration
-	cancel chan struct{}
+// NewServer creates a server for db with the per-home verb set. Call
+// Serve to start it.
+func NewServer(db *DB) *Server {
+	return NewVerbServer(db.clk, map[string]Verb{
+		"EXEC": func(body string) (*Result, error) { return db.Exec(strings.TrimSpace(body)) },
+	}, db.subscribe)
 }
 
-// NewServer creates a server for db. Call Serve to start it.
-func NewServer(db *DB) *Server {
-	return &Server{db: db, subs: make(map[uint64]*subscription)}
+// NewVerbServer creates a server for a custom verb set, keyed by
+// upper-case verb name. clk paces subscription periods. Call Serve to
+// start it.
+func NewVerbServer(clk clock.Clock, verbs map[string]Verb, subscribe SubscribeFunc) *Server {
+	return &Server{clk: clk, verbs: verbs, subscribe: subscribe, subs: make(map[uint64]chan struct{})}
 }
 
 // Serve binds addr (e.g. "127.0.0.1:0") and serves until Close.
@@ -82,22 +115,30 @@ func (s *Server) Addr() string {
 	return s.conn.LocalAddr().String()
 }
 
-// Close stops the server and cancels all subscriptions.
+// Close stops the server and cancels all subscriptions. Safe to defer
+// before checking Serve's error (a never-served server closes to a no-op).
 func (s *Server) Close() error {
-	if s.closed.Swap(true) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
-	s.mu.Lock()
-	for id, sub := range s.subs {
-		close(sub.cancel)
+	s.closed = true
+	for id, cancel := range s.subs {
+		close(cancel)
 		delete(s.subs, id)
 	}
 	s.mu.Unlock()
-	err := s.conn.Close()
+	var err error
+	if s.conn != nil {
+		err = s.conn.Close()
+	}
 	s.wg.Wait()
 	return err
 }
 
+// loop is the server's one read loop: every request gets exactly one
+// reply, through the one write path.
 func (s *Server) loop() {
 	defer s.wg.Done()
 	buf := make([]byte, 65536)
@@ -106,19 +147,24 @@ func (s *Server) loop() {
 		if err != nil {
 			return // closed
 		}
-		seq, verb, body, perr := ParseRequest(string(buf[:n]))
-		if perr != nil {
-			s.reply(addr, seq, "ERR "+perr.Error(), "")
-			continue
+		var status, resp string
+		seq, verb, body, err := parseRequest(string(buf[:n]))
+		if err == nil {
+			status, resp, err = s.dispatch(addr, verb, body)
 		}
-		s.dispatch(addr, seq, verb, body)
+		if err != nil {
+			status, resp = "ERR "+err.Error(), ""
+		}
+		if len(status) > maxStatus {
+			status = status[:maxStatus]
+		}
+		_ = s.write(addr, fmt.Sprintf("%s %d %s\n", rpcMagic, seq, status), resp) // a lost reply is like any lost datagram
 	}
 }
 
-// ParseRequest splits one HWDB/1 request datagram into its sequence
-// number, upper-cased verb and body. Shared by every HWDB/1-framed
-// server (the per-home RPC here and the fleet telemetry endpoint).
-func ParseRequest(s string) (seq uint64, verb, body string, err error) {
+// parseRequest splits one HWDB/1 request datagram into its sequence
+// number, upper-cased verb and body.
+func parseRequest(s string) (seq uint64, verb, body string, err error) {
 	nl := strings.IndexByte(s, '\n')
 	header := s
 	if nl >= 0 {
@@ -135,92 +181,72 @@ func ParseRequest(s string) (seq uint64, verb, body string, err error) {
 	return seq, strings.ToUpper(fields[2]), body, nil
 }
 
-func (s *Server) dispatch(addr *net.UDPAddr, seq uint64, verb, body string) {
+// dispatch answers one parsed request with its reply status and body.
+func (s *Server) dispatch(addr *net.UDPAddr, verb, body string) (status, resp string, err error) {
 	switch verb {
 	case "PING":
-		s.reply(addr, seq, "OK pong", "")
-	case "EXEC":
-		res, err := s.db.Exec(strings.TrimSpace(body))
-		if err != nil {
-			s.reply(addr, seq, "ERR "+err.Error(), "")
-			return
-		}
-		if res == nil {
-			s.reply(addr, seq, "OK 0", "")
-			return
-		}
-		s.reply(addr, seq, fmt.Sprintf("OK %d", len(res.Rows)), res.Text())
+		return "OK pong", "", nil
 	case "SUBSCRIBE":
-		st, err := Parse(strings.TrimSpace(body))
+		every, next, err := s.subscribe(body)
 		if err != nil {
-			s.reply(addr, seq, "ERR "+err.Error(), "")
-			return
+			return "", "", err
 		}
-		sub, ok := st.(*SubscribeStmt)
-		if !ok {
-			s.reply(addr, seq, "ERR body must be a SUBSCRIBE statement", "")
-			return
-		}
-		id := s.addSubscription(addr, sub)
-		s.reply(addr, seq, fmt.Sprintf("OK %d", id), "")
+		return fmt.Sprintf("OK %d", s.addSubscription(addr, every, next)), "", nil
 	case "UNSUBSCRIBE":
 		id, err := strconv.ParseUint(strings.TrimSpace(body), 10, 64)
 		if err != nil {
-			s.reply(addr, seq, "ERR bad subscription id", "")
-			return
+			return "", "", errors.New("bad subscription id")
 		}
-		if s.removeSubscription(id) {
-			s.reply(addr, seq, "OK", "")
-		} else {
-			s.reply(addr, seq, "ERR no such subscription", "")
+		if !s.removeSubscription(id) {
+			return "", "", errors.New("no such subscription")
 		}
-	default:
-		s.reply(addr, seq, "ERR unknown verb "+verb, "")
+		return "OK", "", nil
 	}
+	fn, ok := s.verbs[verb]
+	if !ok {
+		return "", "", fmt.Errorf("unknown verb %s", verb)
+	}
+	res, err := fn(body)
+	if err != nil || res == nil {
+		return "OK 0", "", err
+	}
+	return fmt.Sprintf("OK %d", len(res.Rows)), res.Text(), nil
 }
 
-// TruncateBody caps a response body so header+body fits in one
-// MaxDatagram-sized datagram, cutting at a line boundary and flagging
-// the cut with a "TRUNCATED" trailer. Shared by every HWDB/1-framed
-// server (the per-home RPC here and the fleet telemetry endpoint).
-func TruncateBody(body string, headerLen int) string {
-	if headerLen+len(body) <= MaxDatagram {
-		return body
+// write sends header+body as one datagram. A body that would overflow
+// MaxDatagram is cut at a line boundary and flagged with the TRUNCATED
+// trailer; callers keep header shorter than MaxDatagram-len(truncated).
+func (s *Server) write(addr *net.UDPAddr, header, body string) error {
+	if len(header)+len(body) > MaxDatagram {
+		keep := body[:MaxDatagram-len(header)-len(truncated)]
+		if i := strings.LastIndexByte(keep, '\n'); i >= 0 {
+			keep = keep[:i+1]
+		}
+		body = keep + truncated
 	}
-	keep := body[:MaxDatagram-headerLen-len("TRUNCATED\n")]
-	if i := strings.LastIndexByte(keep, '\n'); i >= 0 {
-		keep = keep[:i+1]
-	}
-	return keep + "TRUNCATED\n"
+	_, err := s.conn.WriteToUDP([]byte(header+body), addr)
+	return err
 }
 
-func (s *Server) reply(addr *net.UDPAddr, seq uint64, status, body string) {
-	msg := fmt.Sprintf("%s %d %s\n", rpcMagic, seq, status)
-	_, _ = s.conn.WriteToUDP([]byte(msg+TruncateBody(body, len(msg))), addr)
-}
-
-func (s *Server) addSubscription(addr *net.UDPAddr, st *SubscribeStmt) uint64 {
+func (s *Server) addSubscription(addr *net.UDPAddr, every time.Duration, next Producer) uint64 {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.nextID++
-	id := s.nextID
-	sub := &subscription{
-		id: id, addr: addr, query: st.Query, every: st.Every,
-		cancel: make(chan struct{}),
+	if !s.closed {
+		cancel := make(chan struct{})
+		s.subs[s.nextID] = cancel
+		s.wg.Add(1)
+		go s.run(s.nextID, addr, every, next, cancel)
 	}
-	s.subs[id] = sub
-	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go s.run(sub)
-	return id
+	return s.nextID
 }
 
 func (s *Server) removeSubscription(id uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sub, ok := s.subs[id]
+	cancel, ok := s.subs[id]
 	if ok {
-		close(sub.cancel)
+		close(cancel)
 		delete(s.subs, id)
 	}
 	return ok
@@ -233,15 +259,41 @@ func (s *Server) Subscriptions() int {
 	return len(s.subs)
 }
 
-// run drives one subscription. Idle subscriptions are free: a period
-// where the result cannot have changed skips the SELECT entirely (no
-// inserts since the last evaluation, and either the window is
+// run drives one subscription: each period it asks the producer for a
+// push and sends what it returns, until cancelled or the socket closes.
+func (s *Server) run(id uint64, addr *net.UDPAddr, every time.Duration, next Producer, cancel <-chan struct{}) {
+	defer s.wg.Done()
+	header := fmt.Sprintf("%s 0 PUSH %d\n", rpcMagic, id)
+	for {
+		select {
+		case <-cancel:
+			return
+		case <-s.clk.After(every):
+		}
+		if body, ok := next(MaxDatagram - len(header)); ok && s.write(addr, header, body) != nil {
+			return
+		}
+	}
+}
+
+// subscribe parses a CQL SUBSCRIBE statement into its period and a
+// producer that pushes the SELECT's result. Idle subscriptions are free:
+// a period where the result cannot have changed skips the SELECT entirely
+// (no inserts since the last evaluation, and either the window is
 // insert-driven — ROWS/ALL/NOW — or the last result was already empty,
 // which only inserts can change), and a re-evaluated result identical to
 // the last push is not re-sent. A subscription over an idle table
 // therefore generates no datagrams at all until data first appears.
-func (s *Server) run(sub *subscription) {
-	defer s.wg.Done()
+func (db *DB) subscribe(body string) (time.Duration, Producer, error) {
+	st, err := Parse(strings.TrimSpace(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	sub, ok := st.(*SubscribeStmt)
+	if !ok {
+		return 0, nil, errors.New("body must be a SUBSCRIBE statement")
+	}
+	q := sub.Query
 	var (
 		lastBody string
 		havePush bool   // at least one push sent
@@ -249,39 +301,27 @@ func (s *Server) run(sub *subscription) {
 		lastIns  uint64 // table insert count at the last evaluation
 		lastRows int    // data rows in the last evaluation
 	)
-	for {
-		select {
-		case <-sub.cancel:
-			return
-		case <-s.db.clk.After(sub.every):
-		}
-		t, haveTable := s.db.Table(sub.query.Table)
+	return sub.Every, func(int) (string, bool) {
+		t, haveTable := db.Table(q.Table)
 		var ins uint64
 		if haveTable {
 			ins, _ = t.Stats()
-			if evaled && ins == lastIns &&
-				(sub.query.Win.Kind != WindowRange || lastRows == 0) {
-				continue // nothing can have changed: skip the SELECT too
+			if evaled && ins == lastIns && (q.Win.Kind != WindowRange || lastRows == 0) {
+				return "", false // nothing can have changed: skip the SELECT too
 			}
 		}
-		res, err := s.db.Select(sub.query)
+		res, err := db.Select(q)
 		if err != nil {
-			continue
+			return "", false
 		}
 		evaled, lastIns, lastRows = haveTable, ins, len(res.Rows)
 		body := res.Text()
-		if havePush && body == lastBody {
-			continue // unchanged result: no datagram
-		}
-		if !havePush && len(res.Rows) == 0 {
-			continue // idle from the start: nothing to report yet
+		if havePush && body == lastBody || !havePush && len(res.Rows) == 0 {
+			return "", false // unchanged, or idle from the start: no datagram
 		}
 		lastBody, havePush = body, true
-		header := fmt.Sprintf("%s 0 PUSH %d\n", rpcMagic, sub.id)
-		if _, err := s.conn.WriteToUDP([]byte(header+TruncateBody(body, len(header))), sub.addr); err != nil {
-			return
-		}
-	}
+		return body, true
+	}, nil
 }
 
 // Client is a UDP RPC client. It is safe for sequential use; concurrent

@@ -6,7 +6,7 @@ import "sync"
 // global Folder attached (as a synchronous consumer) to every member
 // hub, plus subscription and accounting surfaces that span the members.
 // It is the seam the hub was built for — shard engines keep their own
-// hubs and know nothing of each other, while telemetry.Server, hwctl and
+// hubs and know nothing of each other, while the fleet endpoint, hwctl and
 // the soak gate read one fleet regardless of shard count.
 //
 // Invariants (see docs/ARCHITECTURE.md "Fleet control plane"):

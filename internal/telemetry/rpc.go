@@ -2,20 +2,16 @@ package telemetry
 
 import (
 	"fmt"
-	"net"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/hwdb"
 	"repro/internal/trace"
 )
 
-// The streaming fleet endpoint speaks the HWDB/1 wire framing (the same
-// single-datagram request/response/push format as the per-home hwdb RPC,
-// so hwdb.Client drives it unchanged) with a fleet verb set:
+// The streaming fleet endpoint is an hwdb.Server (so hwdb.Client drives
+// it unchanged) with a fleet verb set:
 //
 //	EXEC        body = one CQL SELECT against the FleetStats view
 //	            (including AS OF @<nanos> / HISTORY @<from> @<to> time
@@ -24,7 +20,7 @@ import (
 //	TRACE       per-stage punt-lifecycle latency summary (fleet-merged)
 //	REPLAY      body = <home> <table> [@<from> [@<to>]]; scrubs the flight
 //	            recorder's retained rows for one home's table
-//	            (ERR when no replay source is installed)
+//	            (ERR when the server was built without a replay source)
 //	SUBSCRIBE   body = [SUBSCRIBE] FLEET EVERY <n> <unit>; OK arg is the id
 //	UNSUBSCRIBE body = id
 //	PING
@@ -34,177 +30,29 @@ import (
 // subscriber, with its current windowed rate. Ticks where nothing changed
 // send no datagram at all — an idle fleet costs an idle subscriber
 // nothing — and a client re-syncs by summing deltas, never by re-query.
-const (
-	rpcMagic = "HWDB/1"
-	// MaxDatagram is the largest datagram the server will send.
-	MaxDatagram = hwdb.MaxDatagram
-)
 
-// Server serves a folder's fleet-wide telemetry over UDP.
-type Server struct {
-	folder *Folder
-	conn   *net.UDPConn
-	// traceFn supplies fleet-merged punt-lifecycle stage summaries for
-	// the TRACE verb (atomic: SetTraceSource may race in-flight requests).
-	traceFn atomic.Pointer[func() []trace.StageStats]
-	// replayFn serves the REPLAY verb from the flight recorder's
-	// retained windows (same atomic discipline as traceFn).
-	replayFn atomic.Pointer[func(home uint64, table string, from, to time.Time) (*hwdb.Result, error)]
+// ReplayFunc scrubs a home's recorded table history between from and to
+// (zero: open); flight.Recorder.Replay is one.
+type ReplayFunc func(home uint64, table string, from, to time.Time) (*hwdb.Result, error)
 
-	mu     sync.Mutex
-	subs   map[uint64]*fleetSub
-	nextID uint64
-	closed atomic.Bool
-	wg     sync.WaitGroup
-}
-
-// fleetSub is one delta-push subscription.
-type fleetSub struct {
-	id     uint64
-	addr   *net.UDPAddr
-	every  time.Duration
-	cancel chan struct{}
-}
-
-// NewServer creates a server over folder. Call Serve to start it.
-func NewServer(folder *Folder) *Server {
-	return &Server{folder: folder, subs: make(map[uint64]*fleetSub)}
-}
-
-// SetTraceSource installs the function the TRACE verb calls for fleet-
-// merged punt-lifecycle stage summaries (fleet.TraceStats, typically).
-// Safe to call at any time, including while serving; a server without
-// one answers TRACE with an empty table.
-func (s *Server) SetTraceSource(fn func() []trace.StageStats) { s.traceFn.Store(&fn) }
-
-// SetReplaySource installs the function the REPLAY verb calls to scrub a
-// home's recorded table history (flight.Recorder.Replay, typically). Safe
-// to call at any time; a server without one answers REPLAY with an error.
-func (s *Server) SetReplaySource(fn func(home uint64, table string, from, to time.Time) (*hwdb.Result, error)) {
-	s.replayFn.Store(&fn)
-}
-
-// Serve binds addr (e.g. "127.0.0.1:0") and serves until Close.
-func (s *Server) Serve(addr string) error {
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return err
-	}
-	conn, err := net.ListenUDP("udp", ua)
-	if err != nil {
-		return err
-	}
-	s.conn = conn
-	s.wg.Add(1)
-	go s.loop()
-	return nil
-}
-
-// Addr returns the bound address once Serve has been called.
-func (s *Server) Addr() string {
-	if s.conn == nil {
-		return ""
-	}
-	return s.conn.LocalAddr().String()
-}
-
-// Subscriptions returns the number of active subscriptions.
-func (s *Server) Subscriptions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.subs)
-}
-
-// Close stops the server and cancels all subscriptions. Safe to defer
-// before checking Serve's error (a never-served server closes to a no-op).
-func (s *Server) Close() error {
-	if s.closed.Swap(true) {
-		return nil
-	}
-	s.mu.Lock()
-	for id, sub := range s.subs {
-		close(sub.cancel)
-		delete(s.subs, id)
-	}
-	s.mu.Unlock()
-	var err error
-	if s.conn != nil {
-		err = s.conn.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) loop() {
-	defer s.wg.Done()
-	buf := make([]byte, 65536)
-	for {
-		n, addr, err := s.conn.ReadFromUDP(buf)
-		if err != nil {
-			return // closed
-		}
-		seq, verb, body, perr := hwdb.ParseRequest(string(buf[:n]))
-		if perr != nil {
-			s.reply(addr, seq, "ERR "+perr.Error(), "")
-			continue
-		}
-		s.dispatch(addr, seq, verb, body)
-	}
-}
-
-func (s *Server) dispatch(addr *net.UDPAddr, seq uint64, verb, body string) {
-	switch verb {
-	case "PING":
-		s.reply(addr, seq, "OK pong", "")
-	case "EXEC":
-		res, err := s.folder.View().Query(strings.TrimSpace(body))
-		if err != nil {
-			s.reply(addr, seq, "ERR "+err.Error(), "")
-			return
-		}
-		s.reply(addr, seq, fmt.Sprintf("OK %d", len(res.Rows)), res.Text())
-	case "STATS":
-		res := s.statsResult()
-		s.reply(addr, seq, fmt.Sprintf("OK %d", len(res.Rows)), res.Text())
-	case "TRACE":
-		res := s.traceResult()
-		s.reply(addr, seq, fmt.Sprintf("OK %d", len(res.Rows)), res.Text())
-	case "REPLAY":
-		res, err := s.replayResult(body)
-		if err != nil {
-			s.reply(addr, seq, "ERR "+err.Error(), "")
-			return
-		}
-		s.reply(addr, seq, fmt.Sprintf("OK %d", len(res.Rows)), res.Text())
-	case "SUBSCRIBE":
+// NewServer returns the fleet endpoint over folder. traceFn serves TRACE
+// (fleet.TraceStats, typically; nil answers an empty table) and replayFn
+// serves REPLAY (nil answers an error). Call Serve to start it.
+func NewServer(folder *Folder, traceFn func() []trace.StageStats, replayFn ReplayFunc) *hwdb.Server {
+	return hwdb.NewVerbServer(folder.clk, map[string]hwdb.Verb{
+		"EXEC": func(body string) (*hwdb.Result, error) {
+			return folder.View().Query(strings.TrimSpace(body))
+		},
+		"STATS":  func(string) (*hwdb.Result, error) { return statsResult(folder), nil },
+		"TRACE":  func(string) (*hwdb.Result, error) { return traceResult(traceFn), nil },
+		"REPLAY": func(body string) (*hwdb.Result, error) { return replayResult(replayFn, body) },
+	}, func(body string) (time.Duration, hwdb.Producer, error) {
 		every, err := parseFleetSubscribe(body)
 		if err != nil {
-			s.reply(addr, seq, "ERR "+err.Error(), "")
-			return
+			return 0, nil, err
 		}
-		id := s.addSubscription(addr, every)
-		s.reply(addr, seq, fmt.Sprintf("OK %d", id), "")
-	case "UNSUBSCRIBE":
-		id, err := strconv.ParseUint(strings.TrimSpace(body), 10, 64)
-		if err != nil {
-			s.reply(addr, seq, "ERR bad subscription id", "")
-			return
-		}
-		s.mu.Lock()
-		sub, ok := s.subs[id]
-		if ok {
-			close(sub.cancel)
-			delete(s.subs, id)
-		}
-		s.mu.Unlock()
-		if ok {
-			s.reply(addr, seq, "OK", "")
-		} else {
-			s.reply(addr, seq, "ERR no such subscription", "")
-		}
-	default:
-		s.reply(addr, seq, "ERR unknown verb "+verb, "")
-	}
+		return every, (&deltaFeed{folder: folder, seen: make(map[uint64]homeMark)}).next, nil
+	})
 }
 
 // parseFleetSubscribe parses "[SUBSCRIBE] FLEET EVERY <n> <unit>".
@@ -217,7 +65,7 @@ func parseFleetSubscribe(body string) (time.Duration, error) {
 		return 0, fmt.Errorf("body must be [SUBSCRIBE] FLEET EVERY <n> <unit>")
 	}
 	v, err := strconv.ParseFloat(fields[2], 64)
-	if err != nil || v <= 0 {
+	if err != nil || !(v > 0) { // NaN too
 		return 0, fmt.Errorf("bad period %q", fields[2])
 	}
 	var unit time.Duration
@@ -231,19 +79,11 @@ func parseFleetSubscribe(body string) (time.Duration, error) {
 	default:
 		return 0, fmt.Errorf("bad unit %q", fields[3])
 	}
-	return time.Duration(v * float64(unit)), nil
-}
-
-func (s *Server) addSubscription(addr *net.UDPAddr, every time.Duration) uint64 {
-	s.mu.Lock()
-	s.nextID++
-	id := s.nextID
-	sub := &fleetSub{id: id, addr: addr, every: every, cancel: make(chan struct{})}
-	s.subs[id] = sub
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.run(sub)
-	return id
+	d := time.Duration(v * float64(unit))
+	if d <= 0 { // out of Duration range
+		return 0, fmt.Errorf("bad period %q", fields[2])
+	}
+	return d, nil
 }
 
 // homeMark is the cumulative state last pushed to a subscriber for one
@@ -255,71 +95,60 @@ type homeMark struct {
 
 var pushCols = []string{"home", "hosts", "flows", "packets", "bytes", "links", "lost", "bytes_s", "pkts_s"}
 
-// run drives one subscription: every period, diff the folder's per-home
-// cumulative counters against what this subscriber has seen and push only
-// the homes that moved. Nothing moved -> no datagram. The push is built
-// against the datagram budget row by row: a home's mark advances only
-// when its row actually fits, so deltas that overflow one datagram are
-// carried — never silently dropped — and each tick resumes round-robin
-// from where the previous push stopped, so a fleet too busy for one
-// datagram cannot starve its high-ID homes.
-func (s *Server) run(sub *fleetSub) {
-	defer s.wg.Done()
-	seen := make(map[uint64]homeMark)
-	header := fmt.Sprintf("%s 0 PUSH %d\n", rpcMagic, sub.id)
-	head := strings.Join(pushCols, "\t") + "\n"
-	var resume uint64 // first home ID to consider this tick
-	for {
-		select {
-		case <-sub.cancel:
-			return
-		case <-s.folder.clk.After(sub.every):
-		}
-		hts := s.folder.HomeTotals()
-		if len(hts) == 0 {
-			continue
-		}
-		// Rotate the ascending-ID list so iteration starts at the resume
-		// cursor and wraps, visiting every home once.
-		start := 0
-		for i, ht := range hts {
-			if ht.Home >= resume {
-				start = i
-				break
-			}
-		}
-		var sb strings.Builder
-		sb.WriteString(head)
-		rows, full := 0, false
-		for k := 0; k < len(hts); k++ {
-			ht := hts[(start+k)%len(hts)]
-			m := seen[ht.Home]
-			if ht.Flows == m.flows && ht.Links == m.links && ht.Lost == m.lost {
-				continue
-			}
-			line := deltaLine(ht, m)
-			if len(header)+sb.Len()+len(line) > MaxDatagram {
-				// The rest ride the next push; resume with this home.
-				resume, full = ht.Home, true
-				break
-			}
-			sb.WriteString(line)
-			rows++
-			seen[ht.Home] = homeMark{
-				flows: ht.Flows, links: ht.Links,
-				packets: ht.Packets, bytes: ht.Bytes, lost: ht.Lost,
-			}
-		}
-		if !full {
-			resume = 0
-		}
-		if rows == 0 {
-			continue // idle tick: no datagram
-		}
-		if _, err := s.conn.WriteToUDP([]byte(header+sb.String()), sub.addr); err != nil {
-			return
+// deltaFeed is one FLEET subscription's push producer. Each period it
+// diffs the folder's per-home cumulative counters against what this
+// subscriber has seen and pushes only the homes that moved; nothing moved
+// -> no datagram. The push is built against the datagram budget row by
+// row: a home's mark advances only when its row actually fits, so deltas
+// that overflow one datagram are carried — never silently dropped — and
+// each push resumes round-robin from where the previous one stopped, so a
+// fleet too busy for one datagram cannot starve its high-ID homes.
+type deltaFeed struct {
+	folder *Folder
+	seen   map[uint64]homeMark
+	resume uint64 // first home ID to consider next push
+}
+
+func (d *deltaFeed) next(budget int) (string, bool) {
+	hts := d.folder.HomeTotals()
+	if len(hts) == 0 {
+		return "", false
+	}
+	// Rotate the ascending-ID list so iteration starts at the resume
+	// cursor and wraps, visiting every home once.
+	start := 0
+	for i, ht := range hts {
+		if ht.Home >= d.resume {
+			start = i
+			break
 		}
 	}
+	var sb strings.Builder
+	sb.WriteString(strings.Join(pushCols, "\t") + "\n")
+	rows, full := 0, false
+	for k := 0; k < len(hts); k++ {
+		ht := hts[(start+k)%len(hts)]
+		m := d.seen[ht.Home]
+		if ht.Flows == m.flows && ht.Links == m.links && ht.Lost == m.lost {
+			continue
+		}
+		line := deltaLine(ht, m)
+		if sb.Len()+len(line) > budget {
+			// The rest ride the next push; resume with this home.
+			d.resume, full = ht.Home, true
+			break
+		}
+		sb.WriteString(line)
+		rows++
+		d.seen[ht.Home] = homeMark{
+			flows: ht.Flows, links: ht.Links,
+			packets: ht.Packets, bytes: ht.Bytes, lost: ht.Lost,
+		}
+	}
+	if !full {
+		d.resume = 0
+	}
+	return sb.String(), rows > 0 // idle tick: no datagram
 }
 
 // deltaLine renders one home's delta-past-mark as a tabular body line in
@@ -348,10 +177,8 @@ func deltaLine(ht HomeTotals, m homeMark) string {
 }
 
 // replayResult parses "<home> <table> [@<from> [@<to>]]" (timestamps in
-// unix nanoseconds, the leading @ optional) and scrubs the installed
-// replay source.
-func (s *Server) replayResult(body string) (*hwdb.Result, error) {
-	fn := s.replayFn.Load()
+// unix nanoseconds, the leading @ optional) and scrubs fn.
+func replayResult(fn ReplayFunc, body string) (*hwdb.Result, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("no replay source (flight recorder not attached)")
 	}
@@ -381,13 +208,13 @@ func (s *Server) replayResult(body string) (*hwdb.Result, error) {
 			return nil, err
 		}
 	}
-	return (*fn)(home, fields[1], from, to)
+	return fn(home, fields[1], from, to)
 }
 
 // statsResult renders the live totals and fleet rate as one tabular row.
-func (s *Server) statsResult() *hwdb.Result {
-	t := s.folder.Totals()
-	r := s.folder.FleetRate()
+func statsResult(folder *Folder) *hwdb.Result {
+	t := folder.Totals()
+	r := folder.FleetRate()
 	return &hwdb.Result{
 		Cols: []string{"homes", "hosts", "flows", "links", "leases", "packets", "bytes", "lost", "bytes_s", "pkts_s"},
 		Rows: [][]hwdb.Value{{
@@ -407,15 +234,14 @@ func (s *Server) statsResult() *hwdb.Result {
 
 // traceResult renders the punt-lifecycle stage summaries as a tabular
 // result: one row per contract transition, latencies in microseconds.
-func (s *Server) traceResult() *hwdb.Result {
+func traceResult(fn func() []trace.StageStats) *hwdb.Result {
 	res := &hwdb.Result{
 		Cols: []string{"stage", "count", "p50_us", "p99_us", "max_us", "mean_us"},
 	}
-	fn := s.traceFn.Load()
 	if fn == nil {
 		return res
 	}
-	for _, st := range (*fn)() {
+	for _, st := range fn() {
 		res.Rows = append(res.Rows, []hwdb.Value{
 			hwdb.Str(st.Stage),
 			hwdb.Int64(int64(st.Count)),
@@ -426,9 +252,4 @@ func (s *Server) traceResult() *hwdb.Result {
 		})
 	}
 	return res
-}
-
-func (s *Server) reply(addr *net.UDPAddr, seq uint64, status, body string) {
-	msg := fmt.Sprintf("%s %d %s\n", rpcMagic, seq, status)
-	_, _ = s.conn.WriteToUDP([]byte(msg+hwdb.TruncateBody(body, len(msg))), addr)
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -20,11 +21,11 @@ type serverRig struct {
 	hub    *Hub
 	folder *Folder
 	db     *hwdb.DB
-	srv    *Server
+	srv    *hwdb.Server
 	cli    *hwdb.Client
 }
 
-func newServerRig(t *testing.T) *serverRig {
+func newServerRig(t *testing.T, traceFn func() []trace.StageStats, replayFn ReplayFunc) *serverRig {
 	t.Helper()
 	clk := clock.Real{} // subscription ticks need a real clock here
 	hub := NewHub(HubConfig{Manual: true})
@@ -36,7 +37,7 @@ func newServerRig(t *testing.T) *serverRig {
 		tbl, _ := db.Table(name)
 		hub.Watch(SourceID{Home: 7, Table: name}, tbl)
 	}
-	srv := NewServer(folder)
+	srv := NewServer(folder, traceFn, replayFn)
 	if err := srv.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func (r *serverRig) traffic(t *testing.T, n int, bytes uint64) {
 // TestServerExecQueriesView: EXEC runs CQL against the live FleetStats
 // view through the standard hwdb client.
 func TestServerExecQueriesView(t *testing.T) {
-	r := newServerRig(t)
+	r := newServerRig(t, nil, nil)
 	if err := r.cli.Ping(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestServerExecQueriesView(t *testing.T) {
 // TestServerStatsVerb exercises the STATS verb over a raw datagram (the
 // generic client has no STATS helper).
 func TestServerStatsVerb(t *testing.T) {
-	r := newServerRig(t)
+	r := newServerRig(t, nil, nil)
 	r.traffic(t, 2, 500)
 
 	conn, err := net.Dial("udp", r.srv.Addr())
@@ -131,13 +132,12 @@ func TestServerStatsVerb(t *testing.T) {
 // summaries as a tabular result (one row per transition, µs units); a
 // server without a source answers with an empty table, not an error.
 func TestServerTraceVerb(t *testing.T) {
-	r := newServerRig(t)
-	r.srv.SetTraceSource(func() []trace.StageStats {
+	r := newServerRig(t, func() []trace.StageStats {
 		return []trace.StageStats{
 			{Stage: "punt->dispatch", Count: 42, P50NS: 1500, P99NS: 9000, MaxNS: 12000, MeanNS: 2000},
 			{Stage: "punt->barrier", Count: 42, P50NS: 8000, P99NS: 64000, MaxNS: 90000, MeanNS: 11000},
 		}
-	})
+	}, nil)
 
 	conn, err := net.Dial("udp", r.srv.Addr())
 	if err != nil {
@@ -173,7 +173,7 @@ func TestServerTraceVerb(t *testing.T) {
 	}
 
 	// No source installed: empty table, OK status.
-	srv2 := NewServer(r.folder)
+	srv2 := NewServer(r.folder, nil, nil)
 	if err := srv2.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestServerTraceVerb(t *testing.T) {
 // TestServerSubscribeDeltaPushes: a FLEET subscription pushes per-home
 // deltas only when counters move — idle ticks send no datagram at all.
 func TestServerSubscribeDeltaPushes(t *testing.T) {
-	r := newServerRig(t)
+	r := newServerRig(t, nil, nil)
 	id, err := r.cli.Subscribe("FLEET EVERY 0.02 SECONDS")
 	if err != nil {
 		t.Fatal(err)
@@ -270,17 +270,6 @@ func TestDeltaLineMatchesResultText(t *testing.T) {
 	}
 }
 
-// TestServerCloseWithoutServe: Close on a never-served server is a safe
-// no-op (the idiomatic defer-before-error-check pattern must not panic).
-func TestServerCloseWithoutServe(t *testing.T) {
-	hub := NewHub(HubConfig{Manual: true})
-	defer hub.Close()
-	srv := NewServer(NewFolder(hub, FolderConfig{Clock: clock.Real{}}))
-	if err := srv.Close(); err != nil {
-		t.Fatalf("close without serve: %v", err)
-	}
-}
-
 // TestParseFleetSubscribe table-drives the subscription body grammar.
 func TestParseFleetSubscribe(t *testing.T) {
 	cases := []struct {
@@ -294,6 +283,9 @@ func TestParseFleetSubscribe(t *testing.T) {
 		{"FLEET EVERY 2 MINUTES", 2 * time.Minute, false},
 		{"FLEET EVERY 0 SECONDS", 0, true},
 		{"FLEET EVERY x SECONDS", 0, true},
+		{"FLEET EVERY NaN SECONDS", 0, true},
+		{"FLEET EVERY +Inf SECONDS", 0, true},
+		{"FLEET EVERY 1e300 SECONDS", 0, true},
 		{"FLEET EVERY 1 FORTNIGHTS", 0, true},
 		{"SELECT * FROM Flows", 0, true},
 		{"", 0, true},
@@ -313,15 +305,39 @@ func TestParseFleetSubscribe(t *testing.T) {
 // TestServerReplayVerb: REPLAY routes the parsed home/table/bounds to the
 // installed replay source and errors when none is attached.
 func TestServerReplayVerb(t *testing.T) {
-	r := newServerRig(t)
+	// The source runs on the server's datagram goroutine; the UDP reply
+	// is not a synchronization edge, so the captures need a lock.
+	var mu sync.Mutex
+	var gotHome uint64
+	var gotTable string
+	var gotFrom, gotTo time.Time
+	r := newServerRig(t, nil, func(home uint64, table string, from, to time.Time) (*hwdb.Result, error) {
+		mu.Lock()
+		gotHome, gotTable, gotFrom, gotTo = home, table, from, to
+		mu.Unlock()
+		return &hwdb.Result{
+			Cols: []string{"timestamp", "n"},
+			Rows: [][]hwdb.Value{{hwdb.TimeVal(time.Unix(0, 5)), hwdb.Int64(1)}},
+		}, nil
+	})
+	srv0 := NewServer(r.folder, nil, nil)
+	if err := srv0.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv0.Close() })
 
+	conn0, err := net.Dial("udp", srv0.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn0.Close()
 	conn, err := net.Dial("udp", r.srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	buf := make([]byte, 65536)
-	ask := func(seq, body string) string {
+	ask := func(conn net.Conn, seq, body string) string {
 		t.Helper()
 		if _, err := conn.Write([]byte("HWDB/1 " + seq + " REPLAY\n" + body)); err != nil {
 			t.Fatal(err)
@@ -334,28 +350,12 @@ func TestServerReplayVerb(t *testing.T) {
 		return string(buf[:n])
 	}
 
-	// No source installed yet: ERR mentioning the flight recorder.
-	if got := ask("1", "7 Flows"); !strings.HasPrefix(got, "HWDB/1 1 ERR no replay source") {
+	// No source installed: ERR mentioning the flight recorder.
+	if got := ask(conn0, "1", "7 Flows"); !strings.HasPrefix(got, "HWDB/1 1 ERR no replay source") {
 		t.Fatalf("sourceless replay reply = %q", got)
 	}
 
-	// The source runs on the server's datagram goroutine; the UDP reply
-	// is not a synchronization edge, so the captures need a lock.
-	var mu sync.Mutex
-	var gotHome uint64
-	var gotTable string
-	var gotFrom, gotTo time.Time
-	r.srv.SetReplaySource(func(home uint64, table string, from, to time.Time) (*hwdb.Result, error) {
-		mu.Lock()
-		gotHome, gotTable, gotFrom, gotTo = home, table, from, to
-		mu.Unlock()
-		return &hwdb.Result{
-			Cols: []string{"timestamp", "n"},
-			Rows: [][]hwdb.Value{{hwdb.TimeVal(time.Unix(0, 5)), hwdb.Int64(1)}},
-		}, nil
-	})
-
-	got := ask("2", "7 Flows @100 @200")
+	got := ask(conn, "2", "7 Flows @100 @200")
 	if !strings.HasPrefix(got, "HWDB/1 2 OK 1\n") {
 		t.Fatalf("replay reply = %q", got)
 	}
@@ -374,7 +374,7 @@ func TestServerReplayVerb(t *testing.T) {
 	}
 
 	// Bounds are optional: two-field body passes zero times through.
-	if got := ask("3", "7 Links"); !strings.HasPrefix(got, "HWDB/1 3 OK 1\n") {
+	if got := ask(conn, "3", "7 Links"); !strings.HasPrefix(got, "HWDB/1 3 OK 1\n") {
 		t.Fatalf("replay reply = %q", got)
 	}
 	mu.Lock()
@@ -385,8 +385,112 @@ func TestServerReplayVerb(t *testing.T) {
 
 	for i, bad := range []string{"", "7", "x Flows", "7 Flows @x", "7 Flows @1 @2 @3"} {
 		seq := fmt.Sprintf("%d", 10+i)
-		if got := ask(seq, bad); !strings.HasPrefix(got, "HWDB/1 "+seq+" ERR") {
+		if got := ask(conn, seq, bad); !strings.HasPrefix(got, "HWDB/1 "+seq+" ERR") {
 			t.Errorf("REPLAY %q reply = %q, want ERR", bad, got)
 		}
 	}
+}
+
+// TestDeltaFeedCarriesOverBudget: when one period's deltas overflow the
+// push budget, the FLEET producer carries the rest instead of dropping
+// them. Each home's delta is pushed exactly once, the summed deltas equal
+// the folder's totals, and under constant activity the round-robin resume
+// cursor reaches every home within any two consecutive pushes.
+func TestDeltaFeedCarriesOverBudget(t *testing.T) {
+	const homes = 3000
+	clk := clock.NewSimulated()
+	folder := NewFolder(nil, FolderConfig{Clock: clk})
+	db := hwdb.NewHomework(clk, 4)
+	if err := db.InsertFlow(packet.MAC{2, 1}, packet.FiveTuple{Proto: packet.ProtoTCP, DstPort: 443}, 3, 1500); err != nil {
+		t.Fatal(err)
+	}
+	flows, _ := db.Table(hwdb.TableFlows)
+	row := flows.Snapshot()
+	activity := func() {
+		for h := uint64(1); h <= homes; h++ {
+			folder.consume(Delta{Source: SourceID{Home: h, Table: hwdb.TableFlows}, Rows: row, Lost: h % 3})
+		}
+		clk.Advance(time.Second)
+	}
+
+	feed := &deltaFeed{folder: folder, seen: make(map[uint64]homeMark)}
+	budget := hwdb.MaxDatagram - len("HWDB/1 0 PUSH 1\n")
+	sums := make(map[uint64]homeMark)
+	push := func() []uint64 {
+		t.Helper()
+		body, ok := feed.next(budget)
+		if !ok {
+			return nil
+		}
+		if len(body) > budget {
+			t.Fatalf("push body %d bytes over a %d-byte budget", len(body), budget)
+		}
+		res, err := hwdb.ParseText(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var carried []uint64
+		for _, r := range res.Rows {
+			n := make([]uint64, len(r))
+			for i, v := range r[:7] {
+				if n[i], err = strconv.ParseUint(v.Str, 10, 64); err != nil {
+					t.Fatalf("cell %d of %v: %v", i, r, err)
+				}
+			}
+			m := sums[n[0]]
+			sums[n[0]] = homeMark{flows: m.flows + n[2], packets: m.packets + n[3],
+				bytes: m.bytes + n[4], links: m.links + n[5], lost: m.lost + n[6]}
+			carried = append(carried, n[0])
+		}
+		return carried
+	}
+	checkSums := func() {
+		t.Helper()
+		for _, ht := range folder.HomeTotals() {
+			want := homeMark{flows: ht.Flows, packets: ht.Packets, bytes: ht.Bytes, links: ht.Links, lost: ht.Lost}
+			if sums[ht.Home] != want {
+				t.Fatalf("home %d: summed deltas %+v, folder totals %+v", ht.Home, sums[ht.Home], want)
+			}
+		}
+	}
+
+	// One burst: two pushes carry every home exactly once, then silence.
+	activity()
+	first, second := push(), push()
+	if len(first) == 0 || len(first) == homes {
+		t.Fatalf("first push carried %d of %d homes; the period must overflow one datagram", len(first), homes)
+	}
+	count := make(map[uint64]int)
+	for _, h := range append(first, second...) {
+		count[h]++
+	}
+	for h := uint64(1); h <= homes; h++ {
+		if count[h] != 1 {
+			t.Fatalf("home %d carried %d times over two pushes", h, count[h])
+		}
+	}
+	if extra := push(); extra != nil {
+		t.Fatalf("caught-up feed pushed %d rows", len(extra))
+	}
+	checkSums()
+
+	// A fleet busy every period: no home waits more than two pushes.
+	var last []uint64
+	for i := 0; i < 6; i++ {
+		activity()
+		cur := push()
+		if i > 0 {
+			reached := make(map[uint64]bool)
+			for _, h := range append(last, cur...) {
+				reached[h] = true
+			}
+			if len(reached) != homes {
+				t.Fatalf("push %d: two consecutive pushes reached %d of %d homes", i, len(reached), homes)
+			}
+		}
+		last = cur
+	}
+	for push() != nil {
+	}
+	checkSums()
 }
