@@ -166,8 +166,8 @@ func runCoordinator(s fleet.Scenario, addrs []string, quiet bool) {
 	var sumDelivered, sumLost uint64
 	fmt.Println("workers (engine-local books over the wire):")
 	for _, ss := range f.ShardStats() {
-		fmt.Printf("  shard %-3d %4d homes  %10d delivered + %6d lost  %10d rows folded\n",
-			ss.Shard, ss.Homes, ss.Hub.Delivered, ss.Hub.Lost, ss.Totals.Rows)
+		fmt.Printf("  shard %-3d %4d homes  %10d delivered + %6d lost\n",
+			ss.Shard, ss.Homes, ss.Hub.Delivered, ss.Hub.Lost)
 		sumDelivered += ss.Hub.Delivered
 		sumLost += ss.Hub.Lost
 	}
@@ -357,28 +357,30 @@ func main() {
 		rep.Totals.Flows, rep.Totals.Packets, rep.Totals.Bytes)
 	fmt.Printf("links     %d observations (%d rows lost to ring wrap)\n", rep.Totals.Links, rep.Totals.Lost)
 	// Per-shard engine reports, reconciled against the federated view:
-	// every home is hosted by exactly one shard and the shard hubs' books
-	// must sum to the global accounting. A mismatch is a federation bug —
-	// fail loudly rather than print a report that disagrees with itself.
+	// every home is hosted by exactly one shard, the shard hubs' books
+	// must sum to the federation's, and every delivered row must have
+	// been folded once into the global view. A mismatch is a federation
+	// bug — fail loudly rather than print a report that disagrees with
+	// itself.
 	fl := runner.Fleet()
 	var sumHomes int
-	var sumDelivered, sumLost, sumRows uint64
+	var sumDelivered, sumLost uint64
 	fmt.Println("shards (engine-local books):")
 	for _, ss := range fl.ShardStats() {
-		fmt.Printf("  shard %-3d %4d homes  %10d delivered + %6d lost  %10d rows folded\n",
-			ss.Shard, ss.Homes, ss.Hub.Delivered, ss.Hub.Lost, ss.Totals.Rows)
+		fmt.Printf("  shard %-3d %4d homes  %10d delivered + %6d lost\n",
+			ss.Shard, ss.Homes, ss.Hub.Delivered, ss.Hub.Lost)
 		sumHomes += ss.Homes
 		sumDelivered += ss.Hub.Delivered
 		sumLost += ss.Hub.Lost
-		sumRows += ss.Totals.Rows
 	}
 	fedStats := fl.Hub().Stats()
+	folded := fl.Telemetry().Totals().Rows
 	if sumHomes != fl.Size() || sumDelivered != fedStats.Delivered || sumLost != fedStats.Lost ||
-		sumRows != fl.Telemetry().Totals().Rows {
+		fedStats.Delivered != folded {
 		fmt.Fprintf(os.Stderr,
-			"error: per-shard reports disagree with the global view: homes %d/%d, delivered %d/%d, lost %d/%d, rows %d/%d\n",
+			"error: per-shard reports disagree with the global view: homes %d/%d, delivered %d/%d, lost %d/%d, folded %d/%d\n",
 			sumHomes, fl.Size(), sumDelivered, fedStats.Delivered,
-			sumLost, fedStats.Lost, sumRows, fl.Telemetry().Totals().Rows)
+			sumLost, fedStats.Lost, folded, fedStats.Delivered)
 		os.Exit(1)
 	}
 	// Flight recorder books, reconciled the same way: every row the

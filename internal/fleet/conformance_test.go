@@ -63,15 +63,6 @@ var conformImpls = []struct {
 	}},
 }
 
-// normStats zeroes the one wall-clock-derived counter (flow-install
-// latency is measured in real microseconds even under a simulated
-// clock) so deterministic runs compare equal on everything that is
-// actually deterministic.
-func normStats(s engine.Stats) engine.Stats {
-	s.Totals.InstallUSSum = 0
-	return s
-}
-
 // tick advances one kit the way the coordinator does: step, move the
 // shared simulated clock, flush telemetry.
 func (k conformKit) tick(t *testing.T, dt float64) {
@@ -164,7 +155,7 @@ func TestShardClientConformance(t *testing.T) {
 						k.tick(t, 0.25)
 					}
 				}
-				sa, sb := normStats(a.client.Stats()), normStats(b.client.Stats())
+				sa, sb := a.client.Stats(), b.client.Stats()
 				if !reflect.DeepEqual(sa, sb) {
 					t.Fatalf("same script, diverging stats:\n a %+v\n b %+v", sa, sb)
 				}
@@ -253,7 +244,7 @@ func TestConformanceCrossImplementation(t *testing.T) {
 		}
 		k.tick(t, 0.25)
 	}
-	local, remote := normStats(kits["engine"].client.Stats()), normStats(kits["shardrpc"].client.Stats())
+	local, remote := kits["engine"].client.Stats(), kits["shardrpc"].client.Stats()
 	if !reflect.DeepEqual(local, remote) {
 		t.Fatalf("transport changed the simulation:\n engine   %+v\n shardrpc %+v", local, remote)
 	}

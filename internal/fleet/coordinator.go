@@ -79,9 +79,6 @@ func New(cfg Config) *Fleet {
 			cfg.Shards = 8
 		}
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	if cfg.MeasureEvery <= 0 {
 		cfg.MeasureEvery = 1
 	}
@@ -110,11 +107,9 @@ func New(cfg Config) *Fleet {
 	for i := 0; i < cfg.Shards; i++ {
 		e := engine.New(engine.Config{
 			Index:        i,
-			Workers:      cfg.Workers,
 			Clock:        cfg.Clock,
 			Seed:         cfg.Seed,
 			MeasureEvery: cfg.MeasureEvery,
-			ViewRing:     cfg.RingSize,
 			HomeConfig:   cfg.HomeConfig,
 			OnStep:       cfg.onStep,
 		})
@@ -122,7 +117,7 @@ func New(cfg Config) *Fleet {
 		c.shards = append(c.shards, e)
 		// Attach before any home exists, so every row any shard ever
 		// delivers is folded into the global view.
-		c.fed.Attach(e.Hub())
+		c.fed.AttachMember(e.Hub())
 	}
 	return c
 }
@@ -249,8 +244,9 @@ func (c *Coordinator) assign(id uint64, s int) (*Home, error) {
 	}
 	if len(c.engines) == 0 {
 		// Remote shard: the home lives in the worker process. Track it in
-		// the global folder (host counts arrive via Stats, not a handle)
-		// and return a nil handle — remote callers use IDs, not Homes.
+		// the global folder without a host-count callback (there is no
+		// handle to ask) and return a nil handle — remote callers use
+		// IDs, not Homes.
 		c.fed.AddHome(id, nil)
 		return nil, nil
 	}
@@ -342,10 +338,10 @@ func (c *Coordinator) Homes() []*Home {
 }
 
 // RemoveHome tears one home down via its shard's drain: router stop,
-// final telemetry flush (the rows land in the shard and federated
-// cumulative totals before the sources retire), retire accounting, then
-// the per-home state drops on both levels. Its contribution to the
-// totals and its committed view rows remain.
+// final telemetry flush (the rows land in the shard hub's books and the
+// federated totals before the sources retire), retire accounting, then
+// the home's per-home state drops from the global folder. Its
+// contribution to the totals and its committed view rows remain.
 func (c *Coordinator) RemoveHome(id uint64) bool {
 	c.mu.Lock()
 	s, ok := c.place[id]
@@ -493,10 +489,9 @@ func (c *Coordinator) Step(dt float64) error {
 }
 
 // Sync flushes every shard hub (delivering every row whose insert
-// completed) in shard order and commits the per-shard and federated
-// FleetStats views. Step calls it after every barrier; call it directly
-// after out-of-band inserts (e.g. a manual PollMeasure) before reading
-// the view.
+// completed) in shard order and commits the federated FleetStats view.
+// Step calls it after every barrier; call it directly after out-of-band
+// inserts (e.g. a manual PollMeasure) before reading the view.
 func (c *Coordinator) Sync() {
 	for _, sc := range c.shards {
 		sc.Sync()
@@ -552,8 +547,8 @@ func (c *Coordinator) Telemetry() *telemetry.Folder { return c.fed.Folder() }
 func (c *Coordinator) Hub() *telemetry.Federation { return c.fed }
 
 // ShardStats reports each engine's self-reported state in shard order.
-// Per-shard hub books sum to the federation's; per-shard folder totals
-// sum to the global folder's row/flow/packet/byte counters.
+// Per-shard hub books sum to the federation's, and their delivered rows
+// to the global folder's Rows.
 func (c *Coordinator) ShardStats() []ShardStats {
 	out := make([]ShardStats, len(c.shards))
 	for i, sc := range c.shards {

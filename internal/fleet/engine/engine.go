@@ -1,18 +1,19 @@
 // Package engine is the shard-local half of the fleet control plane: an
-// Engine owns a set of homes (each a full core.Router), the worker pool
-// that steps them, per-home vitals, and its own telemetry hub + folder —
-// and nothing else. It has no knowledge of global membership, placement
-// or remediation policy; those live in the fleet coordinator, which
-// drives engines through the narrow fleet.ShardClient contract
+// Engine owns a set of homes (each a full core.Router), per-home vitals
+// and its own telemetry hub — and nothing else. It owns a hub but no
+// folder: the hub's deltas are folded once, by the coordinator's
+// federation. It has no knowledge of global membership, placement or
+// remediation policy; those live in the fleet coordinator, which drives
+// engines through the narrow fleet.ShardClient contract
 // (assign/drain/step/sync/stats) so the later network hop between
 // coordinator and engine is a transport swap, not another refactor. See
 // docs/ARCHITECTURE.md "Fleet control plane".
 //
-// Concurrency: one engine's workers step disjoint home subsets
-// concurrently, but within a tick each home is touched only by its own
-// worker, in ascending ID order. Drive Step from one goroutine at a
-// time; Assign/Drain may race Step and take effect at the next tick's
-// plan rebuild. Reads (Stats, Folder, Hub) are safe from any goroutine.
+// Concurrency: Step runs every home in the caller's goroutine, in
+// ascending ID order; fleet-level concurrency comes from the coordinator
+// stepping engines in parallel. Drive Step from one goroutine at a time;
+// Assign/Drain may race Step and take effect at the next tick. Reads
+// (Stats, Hub) are safe from any goroutine.
 package engine
 
 import (
@@ -34,11 +35,6 @@ type Config struct {
 	// label stats and scheduler observations; the engine itself is
 	// placement-blind.
 	Index int
-	// Workers is the engine's worker-pool width; homes are assigned to
-	// workers by ID modulo Workers, so assignment is stable under churn.
-	// Default 1: the engine steps its homes sequentially and fleet-level
-	// concurrency comes from stepping engines in parallel.
-	Workers int
 	// Clock, when set, is shared by every home (pass a *clock.Simulated
 	// for deterministic runs; the coordinator advances it, not the
 	// engine — an engine must not move time the other shards share).
@@ -50,14 +46,11 @@ type Config struct {
 	// MeasureEvery is how many steps elapse between hwdb measurement
 	// polls in each home (default 1: poll every step).
 	MeasureEvery int
-	// ViewRing bounds this engine's per-shard FleetStats view ring
-	// (default telemetry.DefaultViewRing).
-	ViewRing int
 	// HomeConfig, when set, mutates each new home's router config after
 	// the engine defaults (AutoPermit, Seed, Clock) are applied.
 	HomeConfig func(id uint64, cfg *core.Config)
 	// OnStep observes scheduler activity (tests only): it runs inside
-	// the worker, before the home is stepped, with the engine's Index as
+	// Step, before the home is stepped, with the engine's Index as
 	// the shard argument.
 	OnStep func(shard int, home uint64, step uint64)
 	// OnAssign, when set, populates each newly assigned home (zones,
@@ -68,64 +61,45 @@ type Config struct {
 	OnAssign func(h *Home) error
 }
 
-// Stats is one engine's self-reported state: how many homes it holds,
-// its hub's delivery accounting and its folder's per-shard totals. The
-// coordinator's federated view must always reconcile with the sum of
-// these.
+// Stats is one engine's self-reported state: how many homes it holds
+// and its hub's delivery accounting. The coordinator's federated books
+// must always reconcile with the sum of these.
 type Stats struct {
-	Shard  int
-	Homes  int
-	Steps  uint64
-	Hub    telemetry.HubStats
-	Totals telemetry.Totals
+	Shard int
+	Homes int
+	Steps uint64
+	Hub   telemetry.HubStats
 }
 
 // Engine steps a set of homes and streams their telemetry. It is the
 // in-process implementation of the fleet.ShardClient contract.
 type Engine struct {
-	cfg    Config
-	pool   *pool
-	hub    *telemetry.Hub
-	folder *telemetry.Folder
-	clk    clock.Clock
+	cfg Config
+	hub *telemetry.Hub
 
 	mu     sync.Mutex
 	homes  map[uint64]*Home
 	steps  uint64
 	closed bool
-	// plan is the homes-per-worker stepping plan (ascending ID within
-	// each worker), rebuilt only when membership changes instead of
-	// sorted and repartitioned on every tick.
-	plan      [][]*Home
-	planDirty bool
+	// order caches the homes in ascending ID order (Step's stepping
+	// order); nil when membership changed since it was built.
+	order []*Home
 }
 
 // New creates an empty engine; the coordinator assigns homes to it.
 func New(cfg Config) *Engine {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	if cfg.MeasureEvery <= 0 {
 		cfg.MeasureEvery = 1
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	// The hub runs manual: Sync flushes it after every step barrier, so
-	// delivery is deterministic under a simulated clock and there is no
-	// background goroutine racing the workers.
-	hub := telemetry.NewHub(telemetry.HubConfig{Manual: true})
+	// Sync flushes the hub after every step barrier, so delivery is
+	// deterministic under a simulated clock.
 	return &Engine{
-		cfg:    cfg,
-		pool:   newPool(cfg.Workers),
-		hub:    hub,
-		folder: telemetry.NewFolder(hub, telemetry.FolderConfig{Clock: clk, ViewRing: cfg.ViewRing}),
-		clk:    clk,
-		homes:  make(map[uint64]*Home),
+		cfg:   cfg,
+		hub:   telemetry.NewHub(),
+		homes: make(map[uint64]*Home),
 	}
 }
 
@@ -184,13 +158,12 @@ func (e *Engine) Assign(id uint64) error {
 		return fmt.Errorf("fleet: home %d already live", id)
 	}
 	e.homes[id] = h
-	e.planDirty = true
+	e.order = nil
 	e.mu.Unlock()
 
 	// Feed the home's measurement tables into the telemetry hub: from
-	// here on, every hwdb insert streams into the live shard view (and,
-	// through the coordinator's federation, the global one).
-	e.folder.AddHome(id, rt.Net.HostCount)
+	// here on, every hwdb insert streams (through the coordinator's
+	// federation) into the global view.
 	for _, name := range watchedTables {
 		if t, ok := rt.DB.Table(name); ok {
 			e.hub.Watch(telemetry.SourceID{Home: id, Table: name}, t)
@@ -206,10 +179,8 @@ func (e *Engine) Assign(id uint64) error {
 }
 
 // Drain tears one home down. The router stops first, then the hub drains
-// whatever its tables still held (so the rows land in the shard's
-// cumulative totals — and the federation's — before the sources retire),
-// and only then is the home's per-home telemetry state dropped. Its
-// contribution to the totals and its committed view rows remain. This is
+// whatever its tables still held, so the rows land in the shard hub's
+// books — and the federation's totals — before the sources retire. This is
 // the settle + final-flush + retire-accounting half of every lifecycle
 // transition: remove, restart, replace and migrate all start here.
 func (e *Engine) Drain(id uint64) bool {
@@ -217,7 +188,7 @@ func (e *Engine) Drain(id uint64) bool {
 	h, ok := e.homes[id]
 	if ok {
 		delete(e.homes, id)
-		e.planDirty = true
+		e.order = nil
 	}
 	e.mu.Unlock()
 	if !ok {
@@ -227,14 +198,13 @@ func (e *Engine) Drain(id uint64) bool {
 	for _, name := range watchedTables {
 		e.hub.Unwatch(telemetry.SourceID{Home: id, Table: name})
 	}
-	e.folder.RemoveHome(id)
 	return true
 }
 
 // Cordon takes a home out of rotation: subsequent Steps skip it (no
 // traffic, no settle, no measurement poll) while its router and
 // telemetry sources stay live, so a sick home stops consuming its
-// worker's step budget but remains inspectable. Returns false if the
+// shard's step budget but remains inspectable. Returns false if the
 // home is not on this engine.
 func (e *Engine) Cordon(id uint64) bool {
 	h, ok := e.Home(id)
@@ -265,30 +235,33 @@ func (e *Engine) Home(id uint64) (*Home, bool) {
 	return h, ok
 }
 
-// Homes returns the engine's homes in ascending ID order — the same
-// order each worker steps its subset in.
+// Homes returns the engine's homes in ascending ID order — the order
+// Step steps them in.
 func (e *Engine) Homes() []*Home {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.orderedLocked()
+	return append([]*Home(nil), e.orderedLocked()...)
 }
 
+// orderedLocked returns the cached ascending-ID home slice, rebuilding it
+// only after membership changed. Callers must not modify it.
 func (e *Engine) orderedLocked() []*Home {
-	out := make([]*Home, 0, len(e.homes))
-	for _, h := range e.homes {
-		out = append(out, h)
+	if e.order == nil {
+		e.order = make([]*Home, 0, len(e.homes))
+		for _, h := range e.homes {
+			e.order = append(e.order, h)
+		}
+		sort.Slice(e.order, func(i, j int) bool { return e.order[i].ID < e.order[j].ID })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return e.order
 }
 
 // Step advances every home the engine holds by dt simulated seconds:
 // traffic emits, each control path drains (Router.Settle — an
 // event-driven wait on the punt/processed epoch, not a poll; see
 // docs/CONTROL_PLANE.md), and (every MeasureEvery-th step) each
-// measurement plane polls flow and link state into its hwdb. Homes are
-// partitioned across the workers by ID modulo Workers and each worker
-// steps its homes in ascending ID order, so the per-home step sequence
+// measurement plane polls flow and link state into its hwdb. Homes step
+// one after another in ascending ID order, so the per-home step sequence
 // is deterministic regardless of scheduling. Step is a pure barrier: it
 // does not advance any shared clock and does not flush telemetry — the
 // coordinator owns both, once per fleet tick across all shards.
@@ -300,52 +273,28 @@ func (e *Engine) Step(dt float64) error {
 	}
 	e.steps++
 	step := e.steps
-	if e.plan == nil || e.planDirty {
-		e.plan = make([][]*Home, e.cfg.Workers)
-		for _, h := range e.orderedLocked() {
-			w := workerOf(h.ID, e.cfg.Workers)
-			e.plan[w] = append(e.plan[w], h)
-		}
-		e.planDirty = false
-	}
-	byWorker := e.plan
+	homes := e.orderedLocked()
 	e.mu.Unlock()
 
-	errs := make([]error, e.cfg.Workers)
-	var wg sync.WaitGroup
-	for wi, hs := range byWorker {
-		if len(hs) == 0 {
+	var first error
+	for _, h := range homes {
+		if h.cordoned.Load() {
 			continue
 		}
-		wi, hs := wi, hs
-		wg.Add(1)
-		e.pool.submit(wi, func() {
-			defer wg.Done()
-			for _, h := range hs {
-				if h.cordoned.Load() {
-					continue
-				}
-				if e.cfg.OnStep != nil {
-					e.cfg.OnStep(e.cfg.Index, h.ID, step)
-				}
-				if err := h.step(dt, e.cfg.MeasureEvery); err != nil && errs[wi] == nil {
-					errs[wi] = fmt.Errorf("fleet: home %d: %w", h.ID, err)
-				}
-			}
-		})
+		if e.cfg.OnStep != nil {
+			e.cfg.OnStep(e.cfg.Index, h.ID, step)
+		}
+		if err := h.step(dt, e.cfg.MeasureEvery); err != nil && first == nil {
+			first = fmt.Errorf("fleet: home %d: %w", h.ID, err)
+		}
 	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return first
 }
 
-// Sync flushes the engine's telemetry hub (delivering every row whose
-// insert completed) and commits one per-shard FleetStats view row per
-// active home. The coordinator calls it after every step barrier, in
-// shard order, so federated fan-out stays deterministic.
-func (e *Engine) Sync() {
-	e.hub.Flush()
-	e.folder.Commit()
-}
+// Sync flushes the engine's telemetry hub, delivering every row whose
+// insert completed. The coordinator calls it after every step barrier,
+// in shard order, so federated fan-out stays deterministic.
+func (e *Engine) Sync() { e.hub.Flush() }
 
 // Steps returns how many ticks the engine has run.
 func (e *Engine) Steps() uint64 {
@@ -361,13 +310,7 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	homes, steps := len(e.homes), e.steps
 	e.mu.Unlock()
-	return Stats{
-		Shard:  e.cfg.Index,
-		Homes:  homes,
-		Steps:  steps,
-		Hub:    e.hub.Stats(),
-		Totals: e.folder.Totals(),
-	}
+	return Stats{Shard: e.cfg.Index, Homes: homes, Steps: steps, Hub: e.hub.Stats()}
 }
 
 // TraceSnapshot merges the punt-lifecycle trace histograms of every home
@@ -388,12 +331,7 @@ func (e *Engine) TraceSnapshot() trace.Snapshot {
 // subscriber or read delivery/loss accounting.
 func (e *Engine) Hub() *telemetry.Hub { return e.hub }
 
-// Folder exposes the engine's per-shard folder: the shard-local
-// FleetStats view and totals.
-func (e *Engine) Folder() *telemetry.Folder { return e.folder }
-
-// Close tears every home down, closes the telemetry hub and releases the
-// worker pool.
+// Close tears every home down and closes the telemetry hub.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -403,7 +341,7 @@ func (e *Engine) Close() {
 	e.closed = true
 	homes := e.orderedLocked()
 	e.homes = make(map[uint64]*Home)
-	e.plan, e.planDirty = nil, true
+	e.order = nil
 	e.mu.Unlock()
 
 	var wg sync.WaitGroup
@@ -416,5 +354,4 @@ func (e *Engine) Close() {
 	}
 	wg.Wait()
 	e.hub.Close()
-	e.pool.close()
 }

@@ -70,9 +70,6 @@ func TestEngineLifecycle(t *testing.T) {
 	if st.Hub.Delivered+st.Hub.Lost != want {
 		t.Fatalf("hub delivered %d + lost %d != %d inserts", st.Hub.Delivered, st.Hub.Lost, want)
 	}
-	if st.Totals.Rows+st.Hub.Lost != want {
-		t.Fatalf("folder consumed %d of %d rows", st.Totals.Rows, want)
-	}
 
 	// Drain: frozen tables become the retired ground truth; the books
 	// still balance after the per-home state drops.
@@ -89,9 +86,6 @@ func TestEngineLifecycle(t *testing.T) {
 	st = e.Stats()
 	if st.Hub.Sources != 0 || st.Hub.Delivered+st.Hub.Lost != retired {
 		t.Fatalf("post-drain books = %+v, want %d retired rows", st.Hub, retired)
-	}
-	if st.Totals.Homes != 0 || st.Totals.Rows+st.Hub.Lost != retired {
-		t.Fatalf("post-drain totals = %+v", st.Totals)
 	}
 
 	e.Close()

@@ -7,9 +7,9 @@
 // plane"):
 //
 //   - Shard-local engines (internal/fleet/engine): each owns a set of
-//     homes, the worker pool that steps them, per-home vitals and its
-//     own telemetry hub + per-shard folder — no knowledge of global
-//     membership.
+//     homes, steps them in ascending ID order, and keeps per-home vitals
+//     and its own telemetry hub (a hub, no folder) — no knowledge of
+//     global membership.
 //   - The placement layer (Coordinator, aliased Fleet): owns home→shard
 //     assignment, the spawn/assign/drain/migrate/restart/replace
 //     lifecycle and the shared clock, and drives engines through the
@@ -17,22 +17,23 @@
 //     internal/health remediation and cmd/hwfleetd use.
 //
 // On top, a telemetry.Federation folds the N per-shard hubs into one
-// global Folder, so the fleet endpoint, hwctl and the soak gate read one
-// coherent fleet — same FleetStats view, same exact delivered+lost
-// accounting invariant — regardless of shard count. Fleet homes default
+// global Folder, the only fold any row gets, so the fleet endpoint,
+// hwctl and the soak gate read one coherent fleet — same FleetStats
+// view, same exact delivered+lost accounting invariant — regardless of
+// shard count. Fleet homes default
 // to the in-process control transport (core.TransportInProcess): with
 // controller and datapath co-resident there is no reason to pay
 // loopback-TCP framing per home, and no per-home socket pair to exhaust
 // descriptors at scale.
 //
-// Concurrency: engines step concurrently, but within a tick each home is
-// touched only by its own engine worker, in ascending ID order, and each
-// home's control plane settles event-driven inside its step
-// (Router.Settle — no polling; see docs/CONTROL_PLANE.md). Drive Step
-// from one goroutine at a time; lifecycle calls (AddHome, RemoveHome,
-// Migrate, ...) may race Step and take effect at the next tick's plan
-// rebuild. Reads (Totals, Telemetry, DB) are safe from any goroutine at
-// any time.
+// Concurrency: engines step concurrently, one goroutine per shard, but
+// within a tick each home is touched only by its own engine, in
+// ascending ID order, and each home's control plane settles
+// event-driven inside its step (Router.Settle — no polling; see
+// docs/CONTROL_PLANE.md). Drive Step from one goroutine at a time;
+// lifecycle calls (AddHome, RemoveHome, Migrate, ...) may race Step and
+// take effect at the next tick. Reads (Totals, Telemetry, DB) are safe
+// from any goroutine at any time.
 package fleet
 
 import (
@@ -47,14 +48,9 @@ import (
 type Config struct {
 	// Shards is the number of shard engines; homes are placed on shards
 	// by ID modulo Shards, so placement is stable under churn. Engines
-	// step concurrently (one worker each by default), so Shards is also
-	// the fleet's stepping concurrency. Default min(8, GOMAXPROCS).
+	// step concurrently, one goroutine each, so Shards is also the
+	// fleet's stepping concurrency. Default min(8, GOMAXPROCS).
 	Shards int
-	// Workers is each engine's worker-pool width (default 1). Raise it
-	// to step one shard's homes concurrently — useful when a few big
-	// shards dominate the tick — at the cost of inter-home ordering
-	// within the shard being per-worker rather than global.
-	Workers int
 	// Clock, when set, is shared by every home (pass a *clock.Simulated
 	// for deterministic runs; Step advances it by the step interval —
 	// the coordinator owns time, engines never advance it).
@@ -66,8 +62,9 @@ type Config struct {
 	// MeasureEvery is how many fleet steps elapse between hwdb
 	// measurement polls in each home (default 1: poll every step).
 	MeasureEvery int
-	// RingSize bounds the stats view rings — the federated global view
-	// and each engine's per-shard view (default DefaultStatsRing).
+	// RingSize bounds the federated FleetStats view ring — the one view
+	// the fleet keeps; engines hold a hub but no folder (default
+	// DefaultStatsRing).
 	RingSize int
 	// HomeConfig, when set, mutates each new home's router config after
 	// the fleet defaults (AutoPermit, Seed, Clock) are applied.
@@ -75,7 +72,7 @@ type Config struct {
 
 	// WorkerAddrs switches the fleet to remote shards: one shardrpc
 	// worker address per shard (Shards is then len(WorkerAddrs) and
-	// Workers/HomeConfig apply worker-side, not here). Homes live in the
+	// HomeConfig applies worker-side, not here). Homes live in the
 	// worker processes, so in-process handles (Home, Homes) are
 	// unavailable; lifecycle, stepping, Stats and federated telemetry
 	// work identically. See docs/ARCHITECTURE.md "Fleet control plane".
@@ -91,7 +88,7 @@ type Config struct {
 	CallTimeout time.Duration
 
 	// onStep observes scheduler activity (tests only): it runs inside
-	// the engine worker, before the home is stepped, with the home's
+	// the engine's Step, before the home is stepped, with the home's
 	// shard as the first argument.
 	onStep func(shard int, home uint64, step uint64)
 }
@@ -100,8 +97,8 @@ type Config struct {
 // engine at a time.
 type Home = engine.Home
 
-// ShardStats is one engine's self-reported state (membership, hub
-// accounting, per-shard totals) as surfaced by Coordinator.ShardStats.
+// ShardStats is one engine's self-reported state (membership and hub
+// accounting) as surfaced by Coordinator.ShardStats.
 type ShardStats = engine.Stats
 
 // watchedTables mirrors the engine's per-home watch set for the fleet's

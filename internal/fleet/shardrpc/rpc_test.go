@@ -170,7 +170,7 @@ type hubBackend struct {
 func newHubBackend() *hubBackend {
 	hb := &hubBackend{
 		fakeBackend: newFakeBackend(),
-		hub:         telemetry.NewHub(telemetry.HubConfig{Manual: true}),
+		hub:         telemetry.NewHub(),
 		tbl:         hwdb.NewTable("T", hwdb.NewSchema(hwdb.Column{Name: "v", Type: hwdb.TInt}), 64),
 	}
 	hb.hub.Watch(telemetry.SourceID{Home: 1, Table: "T"}, hb.tbl)

@@ -25,10 +25,11 @@ func sumInserts(homes []*Home) uint64 {
 // homes: immediately after each Step, with no fold pass, the live totals
 // account for exactly the rows that step's measurement plane inserted,
 // and a re-run from the same seed reproduces the identical FleetStats
-// view byte for byte.
+// view byte for byte — on the same shard count and on one shard, since
+// the one fold is the federation's and sharding must not show in it.
 func TestLiveStatsReflectEveryStep(t *testing.T) {
-	run := func() (*Fleet, string) {
-		f := newTestFleet(t, 8, 4, nil)
+	run := func(shards int) (*Fleet, string) {
+		f := newTestFleet(t, 8, shards, nil)
 		for _, h := range f.Homes() {
 			registerZones(h)
 			if h.ID%2 != 0 {
@@ -66,13 +67,16 @@ func TestLiveStatsReflectEveryStep(t *testing.T) {
 		return f, res.Text()
 	}
 
-	f1, view1 := run()
-	f2, view2 := run()
-	if view1 != view2 {
-		t.Fatalf("FleetStats view not reproducible:\n--- run 1:\n%s\n--- run 2:\n%s", view1, view2)
-	}
-	if t1, t2 := f1.Totals(), f2.Totals(); t1 != t2 {
-		t.Fatalf("totals not reproducible: %+v vs %+v", t1, t2)
+	f1, view1 := run(4)
+	for _, shards := range []int{4, 1} {
+		f2, view2 := run(shards)
+		if view1 != view2 {
+			t.Fatalf("FleetStats view not reproducible on %d shards:\n--- 4 shards:\n%s\n--- %d shards:\n%s",
+				shards, view1, shards, view2)
+		}
+		if t1, t2 := f1.Totals(), f2.Totals(); t1 != t2 {
+			t.Fatalf("totals not reproducible on %d shards: %+v vs %+v", shards, t1, t2)
+		}
 	}
 
 	// The idle homes never contributed a view row.

@@ -122,7 +122,7 @@ func NewRecorder(cfg RecorderConfig) *Recorder {
 }
 
 // Attach registers the recorder's delta consumer on src. Call before the
-// source's first drain (for manual-mode fleets: before the first Sync) so
+// source's first drain (for a fleet: before the first Sync) so
 // the recorder's books start from row zero and reconcile exactly against
 // the hub's delivered count.
 func (r *Recorder) Attach(src DeltaSource) {

@@ -565,6 +565,39 @@ func TestRPCSubscribePush(t *testing.T) {
 	}
 }
 
+// TestRPCSubscribePeriodFloor: a CQL subscription faster than the
+// 10 ms floor gets ERR and starts no run loop; one at the floor is
+// accepted.
+func TestRPCSubscribePeriodFloor(t *testing.T) {
+	srv := NewServer(NewHomework(clock.Real{}, 16))
+	if err := srv.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	for _, every := range []string{"0.000001 SECONDS", "9 MILLISECONDS"} {
+		_, err := cli.Subscribe("SUBSCRIBE SELECT mac FROM Links EVERY " + every)
+		if err == nil || !strings.Contains(err.Error(), "minimum") {
+			t.Fatalf("EVERY %s: err = %v, want the period floor's ERR", every, err)
+		}
+		if n := srv.Subscriptions(); n != 0 {
+			t.Fatalf("EVERY %s: subscriptions = %d, want 0", every, n)
+		}
+	}
+	id, err := cli.Subscribe("SUBSCRIBE SELECT mac FROM Links EVERY 10 MILLISECONDS")
+	if err != nil {
+		t.Fatalf("subscription at the floor: %v", err)
+	}
+	if err := cli.Unsubscribe(id); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestServerCloseWithoutServe: Close on a never-served server is a safe
 // no-op (the idiomatic defer-before-error-check pattern must not panic).
 func TestServerCloseWithoutServe(t *testing.T) {

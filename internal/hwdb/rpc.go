@@ -19,8 +19,9 @@ import (
 //	response: "HWDB/1 <seq> OK [arg]\n<body>"  or  "HWDB/1 <seq> ERR <msg>\n"
 //
 // One Server speaks it for every verb set. PING, SUBSCRIBE (OK arg is the
-// subscription id) and UNSUBSCRIBE (body = id) are built in; every other
-// verb is a registered Verb whose result becomes the tabular body.
+// subscription id; periods under 10 ms get ERR) and UNSUBSCRIBE (body =
+// id) are built in; every other verb is a registered Verb whose result
+// becomes the tabular body.
 // NewServer registers the per-home set: EXEC (body = one CQL statement;
 // SELECT returns a tabular body) and CQL subscriptions (body = SUBSCRIBE
 // <select> EVERY <n> <unit>). The fleet endpoint (telemetry.NewServer)
@@ -46,6 +47,10 @@ const (
 	// room for the truncation trailer.
 	maxStatus = 1024
 	truncated = "TRUNCATED\n"
+	// minSubscribePeriod is the shortest push period SUBSCRIBE accepts, in
+	// every verb set: each subscription is a goroutine waking once a
+	// period, so one datagram must not buy a microsecond timer.
+	minSubscribePeriod = 10 * time.Millisecond
 )
 
 // Verb answers one request body. A nil result replies "OK 0" with no
@@ -190,6 +195,9 @@ func (s *Server) dispatch(addr *net.UDPAddr, verb, body string) (status, resp st
 		every, next, err := s.subscribe(body)
 		if err != nil {
 			return "", "", err
+		}
+		if every < minSubscribePeriod {
+			return "", "", fmt.Errorf("period %v under the %v minimum", every, minSubscribePeriod)
 		}
 		return fmt.Sprintf("OK %d", s.addSubscription(addr, every, next)), "", nil
 	case "UNSUBSCRIBE":

@@ -20,9 +20,7 @@ import (
 func verbSets(t testing.TB) map[string]net.Conn {
 	t.Helper()
 	clk := clock.Real{}
-	hub := telemetry.NewHub(telemetry.HubConfig{Manual: true})
-	t.Cleanup(hub.Close)
-	folder := telemetry.NewFolder(hub, telemetry.FolderConfig{Clock: clk})
+	folder := telemetry.NewFolder(telemetry.FolderConfig{Clock: clk})
 	folder.AddHome(7, nil)
 	servers := map[string]*hwdb.Server{
 		"home": hwdb.NewServer(hwdb.NewHomework(clk, 64)),

@@ -5,9 +5,10 @@ import "sync"
 // Federation folds N per-shard hubs into one coherent fleet: a single
 // global Folder attached (as a synchronous consumer) to every member
 // hub, plus subscription and accounting surfaces that span the members.
-// It is the seam the hub was built for — shard engines keep their own
-// hubs and know nothing of each other, while the fleet endpoint, hwctl and
-// the soak gate read one fleet regardless of shard count.
+// It is the seam the hub was built for and the only place rows are
+// folded — shard engines keep their own hubs (and no folder) and know
+// nothing of each other, while the fleet endpoint, hwctl and the soak
+// gate read one fleet regardless of shard count.
 //
 // Invariants (see docs/ARCHITECTURE.md "Fleet control plane"):
 //
@@ -32,20 +33,17 @@ type Federation struct {
 	fns []func(Delta)
 }
 
-// NewFederation builds a federation with an empty member set and a
-// detached global folder; Attach wires hubs in as shards come up.
+// NewFederation builds a federation with an empty member set and its
+// global folder; AttachMember wires members in as shards come up.
 func NewFederation(cfg FolderConfig) *Federation {
-	return &Federation{folder: NewFolder(nil, cfg)}
+	return &Federation{folder: NewFolder(cfg)}
 }
-
-// Attach adds a member hub: every delta the hub drains from here on is
-// folded into the global view. Attach before the hub's first flush, or
-// earlier rows will be visible only in the member's own accounting.
-func (fd *Federation) Attach(hub *Hub) { fd.AttachMember(hub) }
 
 // AttachMember adds any telemetry member — an in-process shard hub or a
 // Relay mirroring a remote worker's hub — to the federation. Every delta
-// the member fans out from here on is folded into the global view.
+// the member fans out from here on is folded into the global view, so
+// attach before the member's first flush, or earlier rows will be
+// visible only in the member's own accounting.
 func (fd *Federation) AttachMember(m Member) {
 	fd.mu.Lock()
 	fd.members = append(fd.members, m)
@@ -118,10 +116,10 @@ func (fd *Federation) Subscribe(buf int) *Subscription {
 	return sub
 }
 
-// SubscribeFunc registers a synchronous handler on every member hub —
-// current and future (hubs attached later are subscribed on Attach). It
-// runs inside each member's drain pass. Source home IDs are fleet-unique
-// so the handler needs no shard disambiguation.
+// SubscribeFunc registers a synchronous handler on every member —
+// current and future (members attached later are subscribed in
+// AttachMember). It runs inside each member's drain pass. Source home IDs
+// are fleet-unique so the handler needs no shard disambiguation.
 func (fd *Federation) SubscribeFunc(fn func(Delta)) {
 	fd.mu.Lock()
 	members := append([]Member(nil), fd.members...)

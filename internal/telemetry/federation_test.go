@@ -14,14 +14,14 @@ import (
 func TestFederationFoldsMemberHubs(t *testing.T) {
 	tblA, clk := testTable(t, 64)
 	tblB := hwdb.NewTable("T", hwdb.NewSchema(hwdb.Column{Name: "v", Type: hwdb.TInt}), 64)
-	hubA := NewHub(HubConfig{Manual: true})
+	hubA := NewHub()
 	defer hubA.Close()
-	hubB := NewHub(HubConfig{Manual: true})
+	hubB := NewHub()
 	defer hubB.Close()
 
 	fed := NewFederation(FolderConfig{Clock: clk})
-	fed.Attach(hubA)
-	fed.Attach(hubB)
+	fed.AttachMember(hubA)
+	fed.AttachMember(hubB)
 	if fed.Members() != 2 {
 		t.Fatalf("members = %d", fed.Members())
 	}
@@ -87,9 +87,11 @@ func TestFederationFoldsMemberHubs(t *testing.T) {
 // silently dropping it.
 func TestFolderAddHomeUpgradesImplicitAcc(t *testing.T) {
 	tbl, clk := testTable(t, 64)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub()
 	defer hub.Close()
-	f := NewFolder(hub, FolderConfig{Clock: clk})
+	fed := NewFederation(FolderConfig{Clock: clk})
+	fed.AttachMember(hub)
+	f := fed.Folder()
 	hub.Watch(SourceID{Home: 9, Table: "T"}, tbl)
 	insertN(t, tbl, clk, 0, 2)
 	hub.Flush() // consume creates home 9 implicitly

@@ -25,6 +25,9 @@ const DefaultViewRing = 65536
 // fleet-scale analogue of the paper's 5-second bandwidth display window.
 const DefaultRateWindow = 10 * time.Second
 
+// rateBuckets subdivides DefaultRateWindow in every rate ring.
+const rateBuckets = 10
+
 // Rate is a windowed throughput estimate.
 type Rate struct {
 	BytesPerSec   float64
@@ -96,23 +99,17 @@ type FolderConfig struct {
 	Clock clock.Clock
 	// ViewRing bounds the FleetStats ring (default DefaultViewRing).
 	ViewRing int
-	// RateWindow is the sliding rate window (default DefaultRateWindow).
-	RateWindow time.Duration
-	// RateBuckets subdivides the window (default 10).
-	RateBuckets int
 }
 
 // Folder consumes hub deltas and maintains the fleet-wide view: live
 // cumulative totals, per-home and per-device windowed rates, and the
-// FleetStats hwdb view (one delta row per active home per Commit). It
-// registers itself as a synchronous hub handler, so after Hub.Flush its
-// reads reflect every row inserted before the flush.
+// FleetStats hwdb view (one delta row per active home per Commit). Its
+// Federation registers it as a synchronous handler on every member, so
+// after a member's flush its reads reflect every row inserted before the
+// flush.
 type Folder struct {
-	hub     *Hub
-	clk     clock.Clock
-	view    *hwdb.DB
-	window  time.Duration
-	buckets int
+	clk  clock.Clock
+	view *hwdb.DB
 
 	// Standard-schema column indexes, resolved once.
 	fMAC, fPkts, fBytes    int
@@ -160,22 +157,16 @@ func (p *periodAcc) device(mac int64) {
 	p.devices[mac] = struct{}{}
 }
 
-// NewFolder builds a folder over hub and registers it as a synchronous
-// consumer. The folder owns the FleetStats view database. A nil hub
-// builds a detached folder — a Federation attaches it to every shard hub
-// instead, so one folder can fold N hubs into one global view.
-func NewFolder(hub *Hub, cfg FolderConfig) *Folder {
+// NewFolder builds a detached folder that owns the FleetStats view
+// database. NewFederation is its one wiring: the federation attaches the
+// folder to every member, so one folder folds N hubs into one global
+// view.
+func NewFolder(cfg FolderConfig) *Folder {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
 	if cfg.ViewRing <= 0 {
 		cfg.ViewRing = DefaultViewRing
-	}
-	if cfg.RateWindow <= 0 {
-		cfg.RateWindow = DefaultRateWindow
-	}
-	if cfg.RateBuckets <= 0 {
-		cfg.RateBuckets = 10
 	}
 	view := hwdb.New(cfg.Clock)
 	_, err := view.CreateTable(ViewTable, hwdb.NewSchema(
@@ -194,13 +185,10 @@ func NewFolder(hub *Hub, cfg FolderConfig) *Folder {
 		panic(err) // fresh DB, fixed name: cannot collide
 	}
 	f := &Folder{
-		hub:     hub,
-		clk:     cfg.Clock,
-		view:    view,
-		window:  cfg.RateWindow,
-		buckets: cfg.RateBuckets,
-		homes:   make(map[uint64]*homeAcc),
-		rate:    newRateRing(cfg.RateWindow, cfg.RateBuckets),
+		clk:   cfg.Clock,
+		view:  view,
+		homes: make(map[uint64]*homeAcc),
+		rate:  newRateRing(),
 	}
 	// The standard Homework schemas are fixed; resolve the column
 	// indexes the fold needs once, from a throwaway prototype DB.
@@ -215,9 +203,6 @@ func NewFolder(hub *Hub, cfg FolderConfig) *Folder {
 	f.pTx, _ = pt.Schema().Index("tx_pkts")
 	f.pLost, _ = pt.Schema().Index("lost_pkts")
 	f.pInstallUS, _ = pt.Schema().Index("install_us")
-	if hub != nil {
-		hub.SubscribeFunc(f.consume)
-	}
 	return f
 }
 
@@ -234,7 +219,7 @@ func (f *Folder) AddHome(id uint64, hosts func() int) {
 	f.mu.Lock()
 	h, ok := f.homes[id]
 	if !ok {
-		h = &homeAcc{id: id, rate: newRateRing(f.window, f.buckets)}
+		h = &homeAcc{id: id, rate: newRateRing()}
 		f.homes[id] = h
 	}
 	if hosts != nil && h.hosts == nil {
@@ -266,7 +251,7 @@ func (f *Folder) consume(d Delta) {
 	if h == nil {
 		// Deltas for a never-added (or already-removed) home still count
 		// fleet-wide so accounting stays exact under churn.
-		h = &homeAcc{id: d.Source.Home, rate: newRateRing(f.window, f.buckets)}
+		h = &homeAcc{id: d.Source.Home, rate: newRateRing()}
 		f.homes[d.Source.Home] = h
 	}
 	f.fleet.Rows += uint64(len(d.Rows))
@@ -297,7 +282,7 @@ func (f *Folder) consume(d Delta) {
 				if h.dev == nil {
 					h.dev = make(map[int64]*rateRing)
 				}
-				dr = newRateRing(f.window, f.buckets)
+				dr = newRateRing()
 				h.dev[mac] = dr
 			}
 			dr.add(row.TS, by, pk)
@@ -508,12 +493,12 @@ type rateRing struct {
 	pkts   []uint64
 }
 
-func newRateRing(window time.Duration, buckets int) *rateRing {
+func newRateRing() *rateRing {
 	return &rateRing{
-		bucket: window / time.Duration(buckets),
-		idx:    make([]int64, buckets),
-		bytes:  make([]uint64, buckets),
-		pkts:   make([]uint64, buckets),
+		bucket: DefaultRateWindow / rateBuckets,
+		idx:    make([]int64, rateBuckets),
+		bytes:  make([]uint64, rateBuckets),
+		pkts:   make([]uint64, rateBuckets),
 	}
 }
 

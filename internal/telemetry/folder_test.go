@@ -20,12 +20,14 @@ type rig struct {
 func newRig(t *testing.T, homes ...uint64) *rig {
 	t.Helper()
 	clk := clock.NewSimulated()
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub()
 	t.Cleanup(hub.Close)
+	fed := NewFederation(FolderConfig{Clock: clk})
+	fed.AttachMember(hub)
 	r := &rig{
 		clk:    clk,
 		hub:    hub,
-		folder: NewFolder(hub, FolderConfig{Clock: clk, RateWindow: 10 * time.Second}),
+		folder: fed.Folder(),
 		dbs:    make(map[uint64]*hwdb.DB),
 	}
 	for i, id := range homes {

@@ -1,21 +1,24 @@
 // Package telemetry is the live fleet-wide streaming layer between the
 // per-home Homework Databases and the management interfaces: a push-based
-// subscription hub over hwdb tables, a background folder that keeps
-// fleet-wide statistics (and windowed per-home/per-device rates — the
-// fleet-scale analogue of the paper's bandwidth display) continuously
-// current without an on-demand fold pass, and a streaming UDP endpoint
-// that pushes fleet-aggregate deltas to remote subscribers.
+// subscription hub over hwdb tables, a folder that keeps fleet-wide
+// statistics (and windowed per-home/per-device rates — the fleet-scale
+// analogue of the paper's bandwidth display) continuously current without
+// an on-demand fold pass, a federation that gives one such folder to N
+// shard hubs, and a streaming UDP endpoint that pushes fleet-aggregate
+// deltas to remote subscribers.
 //
 // The hub inverts the polling design the fleet layer started with: rather
 // than every reader re-scanning every home's rings, each hwdb insert sets
-// a per-source dirty flag and rings a doorbell (no allocation, never
-// blocking the inserter), and a single drain pass batch-reads each dirty
-// table forward from a cursor (hwdb.Table.Tail) and fans the row delta out
-// to subscribers. Loss is explicit at both levels: rows that wrap out of
-// an hwdb ring before a drain are counted by Tail, and rows a slow channel
-// subscriber cannot accept are counted per subscriber and folded into the
-// Lost field of the next delta it does receive — every inserted row is
-// either delivered or accounted, never silently gone.
+// a per-source dirty flag (no allocation, never blocking the inserter),
+// and a drain pass — Flush, after each step barrier, or Unwatch's final
+// drain — batch-reads each dirty table forward from a cursor
+// (hwdb.Table.Tail) and fans the row delta out to subscribers. There is
+// no background goroutine: deltas move only when the owner drains. Loss
+// is explicit at both levels: rows that wrap out of an hwdb ring before a
+// drain are counted by Tail, and rows a slow channel subscriber cannot
+// accept are counted per subscriber and folded into the Lost field of the
+// next delta it does receive — every inserted row is either delivered or
+// accounted, never silently gone.
 package telemetry
 
 import (
@@ -44,24 +47,10 @@ type Delta struct {
 	Lost   uint64
 }
 
-// HubConfig parameterizes a hub.
-type HubConfig struct {
-	// Manual disables the background pump goroutine: deltas move only
-	// when a caller invokes Flush. Deterministic harnesses (the fleet
-	// steps a simulated clock and flushes after each barrier) and
-	// allocation tests run manual; real-time daemons leave it false.
-	Manual bool
-}
-
 // Hub is an in-process, cursor-based subscription hub over hwdb tables.
 // Watch registers tables; Subscribe/SubscribeFunc register consumers.
 // All methods are safe for concurrent use.
 type Hub struct {
-	cfg  HubConfig
-	wake chan struct{} // doorbell: buffered(1), rung by insert hooks
-	quit chan struct{}
-	done chan struct{}
-
 	mu         sync.Mutex // registry: sources, subscribers
 	sources    map[SourceID]*source
 	order      []*source // sorted by (Home, Table); nil when stale
@@ -71,10 +60,10 @@ type Hub struct {
 	retDeliver uint64 // accounting carried over from unwatched sources
 	retLost    uint64
 
-	// pumpMu serializes drain passes (pump, Flush, Unwatch's final
-	// drain): source cursors must advance atomically with their fan-out
-	// or two passes could double-deliver the same rows.
-	pumpMu sync.Mutex
+	// drainMu serializes drain passes (Flush, Unwatch's final drain):
+	// source cursors must advance atomically with their fan-out or two
+	// passes could double-deliver the same rows.
+	drainMu sync.Mutex
 }
 
 // source is one watched table plus its read cursor and accounting.
@@ -84,7 +73,7 @@ type source struct {
 	dirty atomic.Uint32
 	gone  atomic.Bool
 
-	// pumpMu-guarded:
+	// drainMu-guarded:
 	cursor    uint64
 	delivered uint64
 	lost      uint64
@@ -99,22 +88,10 @@ type HubStats struct {
 	Lost      uint64 // rows that wrapped out of an hwdb ring unread
 }
 
-// NewHub creates a hub; unless cfg.Manual is set a background pump
-// goroutine drains dirty sources as inserts ring the doorbell.
-func NewHub(cfg HubConfig) *Hub {
-	h := &Hub{
-		cfg:     cfg,
-		wake:    make(chan struct{}, 1),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
-		sources: make(map[SourceID]*source),
-	}
-	if cfg.Manual {
-		close(h.done)
-	} else {
-		go h.pump()
-	}
-	return h
+// NewHub creates an empty hub. Deltas move only when a caller drains it
+// (Flush, or Unwatch's final drain).
+func NewHub() *Hub {
+	return &Hub{sources: make(map[SourceID]*source)}
 }
 
 // Watch registers a table under id and hooks its insert path. Rows
@@ -143,25 +120,14 @@ func (h *Hub) Watch(id SourceID, t *hwdb.Table) {
 	h.order = nil
 	h.mu.Unlock()
 
-	// The insert hot path: one atomic load, one CAS, one non-blocking
-	// channel send. No allocation, and the inserter never waits on any
-	// consumer — a slow subscriber costs accounted loss, not insert
-	// latency.
+	// The insert hot path: two atomic operations on the source's own
+	// flags. No allocation, and the inserter never waits on any consumer
+	// — a slow subscriber costs accounted loss, not insert latency.
 	t.OnInsert(func(hwdb.Row) {
-		if s.gone.Load() {
-			return
-		}
-		if s.dirty.CompareAndSwap(0, 1) {
-			select {
-			case h.wake <- struct{}{}:
-			default:
-			}
+		if !s.gone.Load() {
+			s.dirty.Store(1)
 		}
 	})
-	select {
-	case h.wake <- struct{}{}:
-	default:
-	}
 }
 
 // Unwatch removes a source after a final drain, so rows inserted before
@@ -179,13 +145,13 @@ func (h *Hub) Unwatch(id SourceID) {
 		return
 	}
 	s.gone.Store(true)
-	h.pumpMu.Lock()
+	h.drainMu.Lock()
 	h.drainSource(s, true)
 	h.mu.Lock()
 	h.retDeliver += s.delivered
 	h.retLost += s.lost
 	h.mu.Unlock()
-	h.pumpMu.Unlock()
+	h.drainMu.Unlock()
 }
 
 // Subscribe registers a channel consumer with the given buffer (default
@@ -242,17 +208,17 @@ func (h *Hub) SubscribeFunc(fn func(Delta)) {
 // reflect all rows whose Insert returned before Flush was called — and
 // idle sources cost one atomic load each, not a Tail lock acquisition.
 func (h *Hub) Flush() {
-	h.pumpMu.Lock()
+	h.drainMu.Lock()
 	for _, s := range h.snapshot() {
 		h.drainSource(s, false)
 	}
-	h.pumpMu.Unlock()
+	h.drainMu.Unlock()
 }
 
 // Stats returns cumulative hub accounting (including retired sources).
 func (h *Hub) Stats() HubStats {
-	h.pumpMu.Lock()
-	defer h.pumpMu.Unlock()
+	h.drainMu.Lock()
+	defer h.drainMu.Unlock()
 	h.mu.Lock()
 	st := HubStats{Sources: len(h.sources), Delivered: h.retDeliver, Lost: h.retLost}
 	srcs := h.snapshotLocked()
@@ -264,36 +230,17 @@ func (h *Hub) Stats() HubStats {
 	return st
 }
 
-// Close stops the pump and detaches every source's insert hook. Channel
-// subscribers receive no further deltas.
+// Close detaches every source's insert hook. Channel subscribers receive
+// no further deltas.
 func (h *Hub) Close() {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	if h.closed {
-		h.mu.Unlock()
 		return
 	}
 	h.closed = true
 	for _, s := range h.sources {
 		s.gone.Store(true)
-	}
-	h.mu.Unlock()
-	close(h.quit)
-	<-h.done
-}
-
-func (h *Hub) pump() {
-	defer close(h.done)
-	for {
-		select {
-		case <-h.quit:
-			return
-		case <-h.wake:
-		}
-		h.pumpMu.Lock()
-		for _, s := range h.snapshot() {
-			h.drainSource(s, false)
-		}
-		h.pumpMu.Unlock()
 	}
 }
 
@@ -323,9 +270,9 @@ func (h *Hub) snapshotLocked() []*source {
 }
 
 // drainSource batch-reads one source forward from its cursor and fans the
-// delta out. Callers hold pumpMu. force reads regardless of the dirty
-// flag and of gone (Unwatch's final drain); Flush and the pump only
-// follow the dirty flags the insert hooks set.
+// delta out. Callers hold drainMu. force reads regardless of the dirty
+// flag and of gone (Unwatch's final drain); Flush only follows the dirty
+// flags the insert hooks set.
 func (h *Hub) drainSource(s *source, force bool) {
 	if s.gone.Load() && !force {
 		return

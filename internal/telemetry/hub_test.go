@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/hwdb"
@@ -29,7 +28,7 @@ func insertN(t *testing.T, tbl *hwdb.Table, clk *clock.Simulated, from, n int) {
 // with nothing new delivers nothing.
 func TestHubDeliversBatchedDeltas(t *testing.T) {
 	tbl, clk := testTable(t, 64)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub()
 	defer hub.Close()
 	sub := hub.Subscribe(8)
 	id := SourceID{Home: 3, Table: "T"}
@@ -66,7 +65,7 @@ func TestHubDeliversBatchedDeltas(t *testing.T) {
 // table adds zero allocations per insert.
 func TestHubInsertHotPathZeroAllocs(t *testing.T) {
 	tbl, clk := testTable(t, 4096)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub()
 	defer hub.Close()
 	hub.Watch(SourceID{Home: 1, Table: "T"}, tbl)
 
@@ -85,7 +84,7 @@ func TestHubInsertHotPathZeroAllocs(t *testing.T) {
 // cursor falls further behind than the ring holds.
 func TestHubRingWrapLost(t *testing.T) {
 	tbl, clk := testTable(t, 4)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub()
 	defer hub.Close()
 	sub := hub.Subscribe(8)
 	hub.Watch(SourceID{Home: 0, Table: "T"}, tbl)
@@ -114,7 +113,7 @@ func TestHubRingWrapLost(t *testing.T) {
 // reported via Dropped/PendingLost and the in-band Lost of a later delta.
 func TestHubSlowConsumer(t *testing.T) {
 	tbl, clk := testTable(t, 1024)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub()
 	defer hub.Close()
 	sub := hub.Subscribe(1) // room for exactly one delta
 	hub.Watch(SourceID{Home: 0, Table: "T"}, tbl)
@@ -158,7 +157,7 @@ func TestHubSlowConsumer(t *testing.T) {
 // held and retires the source's accounting into the hub totals.
 func TestHubUnwatchFinalDrain(t *testing.T) {
 	tbl, clk := testTable(t, 64)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub()
 	defer hub.Close()
 	var got int
 	hub.SubscribeFunc(func(d Delta) { got += len(d.Rows) })
@@ -186,7 +185,7 @@ func TestHubUnwatchFinalDrain(t *testing.T) {
 func TestHubWatchSeesRetainedRows(t *testing.T) {
 	tbl, clk := testTable(t, 64)
 	insertN(t, tbl, clk, 0, 3)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub()
 	defer hub.Close()
 	var got int
 	hub.SubscribeFunc(func(d Delta) { got += len(d.Rows) })
@@ -201,7 +200,7 @@ func TestHubWatchSeesRetainedRows(t *testing.T) {
 // regardless of registration order.
 func TestHubDeterministicFanoutOrder(t *testing.T) {
 	clk := clock.NewSimulated()
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub()
 	defer hub.Close()
 	var order []SourceID
 	hub.SubscribeFunc(func(d Delta) { order = append(order, d.Source) })
@@ -222,28 +221,5 @@ func TestHubDeterministicFanoutOrder(t *testing.T) {
 	want := []SourceID{{1, "Flows"}, {1, "Links"}, {2, "Links"}}
 	if len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
 		t.Fatalf("fan-out order = %v, want %v", order, want)
-	}
-}
-
-// TestHubPump: without Manual, the background pump delivers on its own
-// after an insert rings the doorbell.
-func TestHubPump(t *testing.T) {
-	tbl, clk := testTable(t, 64)
-	hub := NewHub(HubConfig{})
-	defer hub.Close()
-	sub := hub.Subscribe(8)
-	hub.Watch(SourceID{Home: 0, Table: "T"}, tbl)
-	insertN(t, tbl, clk, 0, 2)
-	// The pump may deliver the two rows as one or two deltas depending
-	// on when it wakes; only the total matters.
-	deadline := time.After(2 * time.Second)
-	got := 0
-	for got < 2 {
-		select {
-		case d := <-sub.C():
-			got += len(d.Rows)
-		case <-deadline:
-			t.Fatalf("pump delivered %d of 2 rows", got)
-		}
 	}
 }

@@ -81,12 +81,12 @@ func TestRelayFanout(t *testing.T) {
 func TestFederationMixesHubAndRelay(t *testing.T) {
 	clk := clock.NewSimulated()
 	tbl := hwdb.NewTable("T", hwdb.NewSchema(hwdb.Column{Name: "v", Type: hwdb.TInt}), 64)
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub()
 	defer hub.Close()
 	relay := NewRelay()
 
 	fed := NewFederation(FolderConfig{Clock: clk})
-	fed.Attach(hub)
+	fed.AttachMember(hub)
 	fed.AttachMember(relay)
 	if fed.Members() != 2 {
 		t.Fatalf("members = %d, want 2", fed.Members())

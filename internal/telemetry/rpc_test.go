@@ -28,9 +28,11 @@ type serverRig struct {
 func newServerRig(t *testing.T, traceFn func() []trace.StageStats, replayFn ReplayFunc) *serverRig {
 	t.Helper()
 	clk := clock.Real{} // subscription ticks need a real clock here
-	hub := NewHub(HubConfig{Manual: true})
+	hub := NewHub()
 	t.Cleanup(hub.Close)
-	folder := NewFolder(hub, FolderConfig{Clock: clk})
+	fed := NewFederation(FolderConfig{Clock: clk})
+	fed.AttachMember(hub)
+	folder := fed.Folder()
 	db := hwdb.NewHomework(clk, 1024)
 	folder.AddHome(7, func() int { return 2 })
 	for _, name := range []string{hwdb.TableFlows, hwdb.TableLinks, hwdb.TableLeases} {
@@ -250,6 +252,21 @@ func TestServerSubscribeDeltaPushes(t *testing.T) {
 	}
 }
 
+// TestServerSubscribePeriodFloor: a FLEET subscription faster than the
+// 10 ms floor gets ERR and starts no run loop.
+func TestServerSubscribePeriodFloor(t *testing.T) {
+	r := newServerRig(t, nil, nil)
+	for _, body := range []string{"FLEET EVERY 0.000001 SECONDS", "FLEET EVERY 9 MS"} {
+		_, err := r.cli.Subscribe(body)
+		if err == nil || !strings.Contains(err.Error(), "minimum") {
+			t.Fatalf("%q: err = %v, want the period floor's ERR", body, err)
+		}
+		if n := r.srv.Subscriptions(); n != 0 {
+			t.Fatalf("%q: subscriptions = %d, want 0", body, n)
+		}
+	}
+}
+
 // TestDeltaLineMatchesResultText pins the push row rendering to the
 // hwdb tabular wire format, so ParseText on the client keeps working.
 func TestDeltaLineMatchesResultText(t *testing.T) {
@@ -399,7 +416,7 @@ func TestServerReplayVerb(t *testing.T) {
 func TestDeltaFeedCarriesOverBudget(t *testing.T) {
 	const homes = 3000
 	clk := clock.NewSimulated()
-	folder := NewFolder(nil, FolderConfig{Clock: clk})
+	folder := NewFolder(FolderConfig{Clock: clk})
 	db := hwdb.NewHomework(clk, 4)
 	if err := db.InsertFlow(packet.MAC{2, 1}, packet.FiveTuple{Proto: packet.ProtoTCP, DstPort: 443}, 3, 1500); err != nil {
 		t.Fatal(err)
